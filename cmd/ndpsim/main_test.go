@@ -120,6 +120,17 @@ func TestCacheBadURL(t *testing.T) {
 	}
 }
 
+// TestDefaultFootprintOutgrowingMemoryIsError: at 19 cores the default
+// footprint, (19+cores)*512 MB, outgrows the default 16 GB of memory.
+// The run must end in an error naming the cause, not a panic.
+func TestDefaultFootprintOutgrowingMemoryIsError(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-cores", "19", "-workload", "rnd", "-mech", "Radix", "-instructions", "1000"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "out of physical memory") {
+		t.Fatalf("run = %v, want an out-of-memory error", err)
+	}
+}
+
 func TestRunRejectsUnknownSystem(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-system", "tpu"}, &out); err == nil {

@@ -403,7 +403,7 @@ func (as *AddressSpace) populateChunk(vpn addr.VPN) {
 	for k := uint64(0); k < addr.EntriesPerTable; k++ {
 		pfn, ok := as.alloc.AllocFrame()
 		if !ok {
-			panic(fmt.Sprintf("osmm: out of physical memory populating %#x", uint64(vpn)))
+			panic(fmt.Errorf("osmm: populating %#x: %w", uint64(vpn), phys.ErrOutOfMemory))
 		}
 		as.table.Map(vpn+addr.VPN(k), pfn)
 		as.stats.Populated++
@@ -462,7 +462,7 @@ func (as *AddressSpace) fault(v addr.V) uint64 {
 	cost += as.noteResident(chunk, 1)
 	pfn, ok := as.alloc.AllocFrame()
 	if !ok {
-		panic(fmt.Sprintf("osmm: out of physical memory at fault for %#x", uint64(v)))
+		panic(fmt.Errorf("osmm: fault for %#x: %w", uint64(v), phys.ErrOutOfMemory))
 	}
 	as.table.Map(vpn, pfn)
 	if as.cfg.IdentityMap && as.cfg.IdentityPromote {

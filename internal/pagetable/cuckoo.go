@@ -128,7 +128,7 @@ func (c *Cuckoo) allocFrames(slots int) []addr.P {
 	for i := range frames {
 		pfn, ok := c.alloc.AllocFrame()
 		if !ok {
-			panic("pagetable: out of physical memory for a cuckoo way")
+			panic(fmt.Errorf("pagetable: cuckoo way: %w", phys.ErrOutOfMemory))
 		}
 		frames[i] = pfn.Addr()
 	}

@@ -1,10 +1,12 @@
 package pagetable
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"ndpage/internal/addr"
+	"ndpage/internal/phys"
 	"ndpage/internal/xrand"
 )
 
@@ -117,6 +119,33 @@ func TestCuckooMapHugePanics(t *testing.T) {
 		}
 	}()
 	NewCuckoo(newAlloc(), 512).MapHuge(0, 0)
+}
+
+// TestOutOfMemoryPanicsWithSentinel: a table that exhausts physical
+// memory panics with an error wrapping phys.ErrOutOfMemory, the one
+// panic value sim.New turns into an error. One cuckoo way of 2^20 slots
+// needs 4096 frames and 2 MB holds 512; the radix case runs out after
+// about 512 leaf nodes, one per 2 MB of mapped span.
+func TestOutOfMemoryPanicsWithSentinel(t *testing.T) {
+	for name, build := range map[string]func(){
+		"cuckoo": func() { NewCuckoo(phys.New(2<<20), 1<<20) },
+		"radix": func() {
+			r := NewRadix(phys.New(2 << 20))
+			for v := addr.VPN(0); ; v += addr.EntriesPerTable {
+				r.Map(v, 1)
+			}
+		},
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !errors.Is(err, phys.ErrOutOfMemory) {
+					t.Errorf("%s: panic value %v does not wrap phys.ErrOutOfMemory", name, err)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 func TestCuckooProbeAddressesDistinctWays(t *testing.T) {

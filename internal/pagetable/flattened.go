@@ -122,7 +122,7 @@ func (f *Flattened) Kind() string { return "flattened" }
 func (f *Flattened) newUpperNode(level addr.Level) *radixNode {
 	pfn, ok := f.alloc.AllocFrame()
 	if !ok {
-		panic("pagetable: out of physical memory for a flattened upper node")
+		panic(fmt.Errorf("pagetable: flattened upper node: %w", phys.ErrOutOfMemory))
 	}
 	n := &radixNode{basePA: pfn.Addr(), level: level, children: make([]*radixNode, addr.EntriesPerTable)}
 	f.nodes[level]++
@@ -155,7 +155,7 @@ func (n *flatNode) pteAddr(alloc *phys.Allocator, idx uint64) addr.P {
 	if !bitset.TestBit(n.chunkOK, c) {
 		pfn, ok := alloc.AllocFrame()
 		if !ok {
-			panic("pagetable: out of physical memory for a flattened chunk")
+			panic(fmt.Errorf("pagetable: flattened chunk: %w", phys.ErrOutOfMemory))
 		}
 		n.chunks[c] = pfn.Addr()
 		bitset.SetBit(n.chunkOK, c)

@@ -70,7 +70,7 @@ func (r *Radix) Kind() string { return "radix" }
 func (r *Radix) newNode(level addr.Level) *radixNode {
 	pfn, ok := r.alloc.AllocFrame()
 	if !ok {
-		panic("pagetable: out of physical memory for a radix node")
+		panic(fmt.Errorf("pagetable: radix node: %w", phys.ErrOutOfMemory))
 	}
 	n := &radixNode{basePA: pfn.Addr(), level: level}
 	if level == addr.PL1 {

@@ -19,11 +19,20 @@
 package phys
 
 import (
+	"errors"
 	"fmt"
 
 	"ndpage/internal/addr"
 	"ndpage/internal/xrand"
 )
+
+// ErrOutOfMemory reports that physical memory is exhausted. The OS
+// model and the page tables allocate deep inside machine construction,
+// where threading an error through every Map would touch the hot path,
+// so they panic with an error wrapping ErrOutOfMemory instead; sim.New
+// recovers exactly that panic value into an ordinary error. Every other
+// panic in those packages is an internal invariant.
+var ErrOutOfMemory = errors.New("out of physical memory")
 
 // MaxOrder is the largest buddy order: order 9 blocks are 512 frames,
 // i.e. one 2 MB huge page.

@@ -29,6 +29,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"ndpage/internal/access"
@@ -208,11 +209,25 @@ const codeBytes = 16 << 10
 // New builds the machine: physical memory with background fragmentation,
 // the memory hierarchy, the shared address space with the mechanism's
 // page table, the workload dataset, and one MMU + op stream per core.
-func New(cfg Config) (*Machine, error) {
+// A dataset and page tables that outgrow MemoryBytes yield an error.
+func New(cfg Config) (m *Machine, err error) {
 	cfg = cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// osmm and pagetable report exhausted physical memory by panicking
+	// with phys.ErrOutOfMemory (see its doc); only that panic becomes
+	// the error, every other one is an internal invariant and goes on.
+	defer func() {
+		if v := recover(); v != nil {
+			oom, ok := v.(error)
+			if !ok || !errors.Is(oom, phys.ErrOutOfMemory) {
+				panic(v)
+			}
+			m, err = nil, fmt.Errorf("sim: a %d MB footprint and its page tables do not fit in %d MB of physical memory: %w",
+				cfg.FootprintBytes>>20, cfg.MemoryBytes>>20, oom)
+		}
+	}()
 	spec, err := workload.Lookup(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -245,7 +260,7 @@ func New(cfg Config) (*Machine, error) {
 	w := spec.New()
 	w.Init(space, rng, cfg.FootprintBytes, cfg.Cores)
 
-	m := &Machine{cfg: cfg, alloc: alloc, hier: hier, space: space, eng: engine.New()}
+	m = &Machine{cfg: cfg, alloc: alloc, hier: hier, space: space, eng: engine.New()}
 	opts := core.Options{
 		DisablePWC:       cfg.DisablePWC,
 		ECHWayPrediction: cfg.ECHWayPrediction,

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"ndpage/internal/addr"
 	"ndpage/internal/core"
 	"ndpage/internal/memsys"
+	"ndpage/internal/phys"
 )
 
 // testCfg returns a small, fast configuration.
@@ -36,6 +38,30 @@ func run(t *testing.T, cfg Config) *Result {
 func TestUnknownWorkloadRejected(t *testing.T) {
 	if _, err := RunConfig(Config{Workload: "nope"}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestNewOutOfMemoryIsError: a dataset that outgrows physical memory is
+// a configuration error, not a crash. ECH exercises the cuckoo ways'
+// frame allocation, Radix and NDPage the OS model's eager population.
+func TestNewOutOfMemoryIsError(t *testing.T) {
+	for _, mech := range []core.Mechanism{core.Radix, core.ECH, core.NDPage} {
+		cfg := testCfg(memsys.NDP, 1, mech, "rnd")
+		cfg.MemoryBytes = 32 << 20
+		cfg.FootprintBytes = 64 << 20
+		cfg.FragHoles = 0
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("%v: New panicked: %v", mech, v)
+				}
+			}()
+			m, err := New(cfg)
+			if m != nil || !errors.Is(err, phys.ErrOutOfMemory) {
+				t.Fatalf("%v: New = (%v, %v), want an out-of-memory error", mech, m, err)
+			}
+			t.Logf("%v: %v", mech, err)
+		}()
 	}
 }
 
