@@ -278,17 +278,17 @@ func sweepReplications(n int) []ndpage.Config {
 	return cfgs
 }
 
-// benchSweep runs one replication sweep per iteration through run (a
-// fresh Runner each time, so the store never short-circuits the work)
-// and reports aggregate simulated instructions per second — the number
-// sharding is meant to scale with cores.
-func benchSweep(b *testing.B, run func(cfgs []ndpage.Config) ([]*ndpage.Result, error)) {
+// BenchmarkSweepSerial runs a replication sweep on a single worker (a
+// fresh Sweep each iteration, so the store never short-circuits the
+// work) and reports aggregate simulated instructions per second.
+func BenchmarkSweepSerial(b *testing.B) {
 	b.ReportAllocs()
 	cfgs := sweepReplications(8)
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		out, err := run(cfgs)
+		r := &ndpage.Sweep{Parallel: 1}
+		out, err := r.Run(context.Background(), cfgs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -297,26 +297,6 @@ func benchSweep(b *testing.B, run func(cfgs []ndpage.Config) ([]*ndpage.Result, 
 		}
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sweep-instr/s")
-}
-
-// BenchmarkSweepSerial is the sharding baseline: the same replication
-// sweep on a single worker.
-func BenchmarkSweepSerial(b *testing.B) {
-	benchSweep(b, func(cfgs []ndpage.Config) ([]*ndpage.Result, error) {
-		r := &ndpage.Sweep{Parallel: 1}
-		return r.Run(context.Background(), cfgs)
-	})
-}
-
-// BenchmarkSweepSharded measures the sharded replication runner at one
-// shard per CPU. The sweep-instr/s ratio against BenchmarkSweepSerial is
-// the multicore scaling the bench gates check (only meaningful when
-// GOMAXPROCS > 1; a single-CPU machine runs the shards sequentially).
-func BenchmarkSweepSharded(b *testing.B) {
-	benchSweep(b, func(cfgs []ndpage.Config) ([]*ndpage.Result, error) {
-		r := &ndpage.Sweep{}
-		return r.RunSharded(context.Background(), cfgs, 0)
-	})
 }
 
 func BenchmarkSensitivity_Oversubscription(b *testing.B) {

@@ -10,34 +10,25 @@
 //	ndpexp -figs mlp-sensitivity   # the core-MLP sweep (non-blocking cores)
 //	ndpexp -workloads rnd,pr,gen   # a workload subset
 //	ndpexp -cache results/.cache   # persist runs; re-runs simulate nothing new
-//	ndpexp -cache http://host:8947 # share runs through an ndpserve instance
 //
-// With -cache, every simulation's result lands in the cache keyed by
-// its configuration's content hash, so an interrupted regeneration
-// (Ctrl-C cancels cleanly) resumes where it stopped and repeated
-// regenerations at the same budgets perform zero simulations. A
-// directory keeps the cache private to this machine; an http(s):// URL
-// points at a shared ndpserve instance instead — warm keys are fetched
-// from the server, cold runs execute server-side with singleflight
-// dedupe (identical configurations from any number of clients cost one
-// simulation), and progress lines report server runs as "done" and
-// served keys as "cached" exactly like the local cache.
+// With -cache, every simulation's result lands in the cache directory
+// keyed by its configuration's content hash, so an interrupted
+// regeneration (Ctrl-C cancels cleanly) resumes where it stopped and
+// repeated regenerations at the same budgets perform zero simulations.
+// Several ndpexp processes may share one cache directory.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
 	"ndpage"
-	"ndpage/internal/fault"
 )
 
 func main() {
@@ -46,39 +37,29 @@ func main() {
 		figsArg   = flag.String("figs", "all", "comma-separated: fig4,fig5,fig6,fig7,fig8,motivation,pwc,fig12,fig13,fig14,ablation (plus extras: mechanism-comparison,pwc-sensitivity,hbm-sensitivity,walker-sensitivity,mlp-sensitivity,population-sensitivity,oversubscription)")
 		wlArg     = flag.String("workloads", "", "comma-separated workload subset: builtin names or trace:<file> replays (default: all 11)")
 		outDir    = flag.String("out", "results", "directory for CSV output (empty = no files)")
-		cacheDir  = flag.String("cache", "", "persistent run cache: a directory, or the http(s):// URL of a shared ndpserve instance (empty = in-memory only)")
+		cacheDir  = flag.String("cache", "", "persistent run cache directory (empty = in-memory only)")
 		parallel  = flag.Int("parallel", 0, "max concurrent simulations (0 = auto)")
-		shards    = flag.Int("shards", 0, "pin runs to N shard goroutines by content key for a reproducible schedule (-1 = one per CPU, 0 = off: completion-ordered pool)")
 		instr     = flag.Uint64("instructions", 0, "measured ops per core (0 = default)")
 		footprint = flag.Uint64("footprint", 0, "dataset bytes (0 = scaled default)")
-		chaosSeed = flag.Int64("chaos-seed", 0, "inject deterministic seeded faults into the -cache path (transport resets/5xx/truncation for a remote cache, torn writes/latency for a directory cache; 0 = off)")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *shards < 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
 	e := &ndpage.Experiments{
 		Instructions: *instr,
 		Footprint:    *footprint,
 		Parallel:     *parallel,
-		Shards:       *shards,
 		Progress:     os.Stderr,
 		Context:      ctx,
 	}
-	var chaos *fault.Plan
 	if *cacheDir != "" {
-		store, plan, err := openCache(ctx, *cacheDir, *chaosSeed)
+		store, err := openCache(*cacheDir)
 		if err != nil {
 			fatal(err)
 		}
 		e.Cache = store
-		chaos = plan
-	} else if *chaosSeed != 0 {
-		fatal(fmt.Errorf("-chaos-seed needs a -cache path to inject faults into"))
 	}
 	if *quick {
 		if e.Instructions == 0 {
@@ -147,41 +128,20 @@ func main() {
 		}
 	}
 	fmt.Printf("total %v\n", time.Since(start).Round(time.Second))
-	if chaos != nil {
-		fmt.Fprintf(os.Stderr, "chaos: seed %d, %d faults injected (%s)\n",
-			chaos.Seed(), chaos.Total(), chaos.Counts())
-	}
 }
 
-// openCache resolves the -cache argument: an http(s):// URL selects a
-// shared ndpserve instance (cold runs execute server-side, deduplicated
-// across every client), anything else a local cache directory. A
-// non-zero chaosSeed threads a deterministic fault injector into the
-// chosen path — faulty transport for a remote cache, faulty store for a
-// directory — so the pipeline's resilience is exercised end to end.
-func openCache(ctx context.Context, arg string, chaosSeed int64) (ndpage.Store, *fault.Plan, error) {
-	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
-		store, err := ndpage.NewRemoteStore(arg)
-		if err != nil {
-			return nil, nil, err
-		}
-		store.Context = ctx // Ctrl-C aborts in-flight requests and 429 retry waits
-		if chaosSeed != 0 {
-			plan := fault.ClientPlan(chaosSeed)
-			store.Client = &http.Client{Transport: &fault.Transport{Plan: plan}}
-			return store, plan, nil
-		}
-		return store, nil, nil
+// openCache opens the -cache directory. A URL is refused rather than
+// taken as a relative path, which would silently create a directory
+// tree named after it.
+func openCache(arg string) (ndpage.Store, error) {
+	if strings.Contains(arg, "://") {
+		return nil, fmt.Errorf("-cache takes a directory, not a URL: %q", arg)
 	}
-	ds, err := ndpage.NewDirStore(arg)
+	store, err := ndpage.NewDirStore(arg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if chaosSeed != 0 {
-		plan := fault.LocalPlan(chaosSeed)
-		return &fault.Store{Inner: ds, Plan: plan, Dir: ds.Dir()}, plan, nil
-	}
-	return ds, nil, nil
+	return store, nil
 }
 
 func fatal(err error) {

@@ -7,17 +7,14 @@
 //	ndpsim -mech Radix -cores 4 -mlp 4 -shared-walker -walker-width 2
 //	ndpsim -mech NDPage -workload gups -json > run.json
 //	ndpsim -mech NDPage -cpuprofile cpu.pprof -memprofile mem.pprof
-//	ndpsim -mech NDPage -cores 4 -cache http://host:8947
+//	ndpsim -mech NDPage -cores 4 -cache runs/
 //
 // -json emits the full result — every counter, histogram, and the
 // normalized configuration — as the same JSON document the sweep
 // cache stores, instead of the human-readable summary.
 //
-// -cache runs through the content-addressed run cache: a directory
-// serves repeat invocations from disk without simulating; an http(s)://
-// URL points at a shared ndpserve instance, which serves warm keys
-// from its store and runs cold configurations server-side (identical
-// requests from any number of clients collapse into one simulation).
+// -cache runs through the content-addressed run cache directory: a
+// repeat invocation is served from disk without simulating.
 //
 // -cpuprofile and -memprofile write pprof profiles of the simulation
 // (construction + run; the CPU profile excludes flag parsing, the heap
@@ -73,7 +70,7 @@ func run(args []string, out io.Writer) error {
 		vGate      = fs.Int("victima-gate", 0, "Victima only: walks before a translation block is admitted (0 = 2)")
 		promote    = fs.Bool("identity-promote", false, "NMT only: identity-map demand-faulted chunks too")
 		pcxEntries = fs.Int("pcx-entries", 0, "PCAX only: PC-indexed table entries (0 = 512)")
-		cache      = fs.String("cache", "", "run cache: a directory, or the http(s):// URL of a shared ndpserve instance (empty = always simulate locally)")
+		cache      = fs.String("cache", "", "run cache directory (empty = always simulate)")
 		jsonOut    = fs.Bool("json", false, "emit the full result as JSON instead of the text summary")
 		list       = fs.Bool("list", false, "list workloads and exit")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the simulation to FILE")
@@ -165,29 +162,21 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// runCached runs cfg through the content-addressed run cache named by
-// arg: a directory (DirStore) serves repeats from disk; an http(s)://
-// URL (RemoteStore over ndpserve) serves warm keys from the shared
-// store and runs cold configurations server-side.
+// runCached runs cfg through the content-addressed run cache in the
+// directory arg, which serves repeats from disk. A URL is refused rather
+// than taken as a relative path, which would silently create a
+// directory tree named after it.
 func runCached(arg string, cfg ndpage.Config) (*ndpage.Result, error) {
-	var store ndpage.Store
-	if strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://") {
-		remote, err := ndpage.NewRemoteStore(arg)
-		if err != nil {
-			return nil, err
-		}
-		store = remote
-	} else {
-		dir, err := ndpage.NewDirStore(arg)
-		if err != nil {
-			return nil, err
-		}
-		store = dir
+	if strings.Contains(arg, "://") {
+		return nil, fmt.Errorf("-cache takes a directory, not a URL: %q", arg)
+	}
+	store, err := ndpage.NewDirStore(arg)
+	if err != nil {
+		return nil, err
 	}
 	// The Sweep runner supplies the cache discipline ndpexp uses: key
 	// the normalized config, serve warm keys without simulating, store
-	// fresh results — and delegate cold runs to a store that can
-	// compute (the remote case).
+	// fresh results.
 	runner := &ndpage.Sweep{Store: store, Parallel: 1}
 	return runner.RunOne(context.Background(), cfg)
 }

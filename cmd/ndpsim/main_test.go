@@ -2,14 +2,10 @@ package main
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ndpage/internal/serve"
-	"ndpage/internal/sweep"
 )
 
 // tiny returns arguments for a fast simulation.
@@ -85,38 +81,17 @@ func TestCacheDir(t *testing.T) {
 	}
 }
 
-// TestCacheRemote: -cache http://... delegates the run to an ndpserve
-// instance; the repeat invocation is a warm hit costing no second
-// simulation.
-func TestCacheRemote(t *testing.T) {
-	srv, err := serve.New(serve.Options{Store: sweep.NewMemStore(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var first, second bytes.Buffer
-	if err := run(tiny("-json", "-cache", ts.URL), &first); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(tiny("-json", "-cache", ts.URL), &second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Error("remote-cached re-run produced different output")
-	}
-	if snap := srv.Snapshot(); snap.Simulations != 1 {
-		t.Errorf("server simulations = %d, want 1 (second run warm)", snap.Simulations)
-	}
-}
-
-// TestCacheBadURL: a malformed remote cache URL fails loudly.
+// TestCacheBadURL: -cache takes a directory; a URL fails loudly
+// instead of creating a directory tree named after it.
 func TestCacheBadURL(t *testing.T) {
+	t.Chdir(t.TempDir())
 	var out bytes.Buffer
-	if err := run(tiny("-cache", "http://"), &out); err == nil {
-		t.Error("bad cache URL accepted")
+	err := run(tiny("-cache", "http://host:8947"), &out)
+	if err == nil || !strings.Contains(err.Error(), "-cache takes a directory") {
+		t.Errorf("-cache with a URL: err = %v, want one saying -cache takes a directory", err)
+	}
+	if _, err := os.Stat("http:"); !os.IsNotExist(err) {
+		t.Errorf("-cache with a URL created a directory: %v", err)
 	}
 }
 

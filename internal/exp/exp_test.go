@@ -2,7 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -158,6 +160,60 @@ func TestPersistentStoreSkipsSimulations(t *testing.T) {
 	}
 	if tab1.String() != tab2.String() {
 		t.Errorf("cached regeneration changed the table:\n%s\nvs\n%s", tab1, tab2)
+	}
+}
+
+// simStore is an in-memory store that also computes (sweep.Simulator).
+type simStore struct {
+	*sweep.MemStore
+	sim func(sim.Config) (*sim.Result, error)
+}
+
+func (s simStore) Simulate(cfg sim.Config) (*sim.Result, error) { return s.sim(cfg) }
+
+// TestStoreSimulatorRunsColdRuns pins the seam the perfbench fig12-ndp
+// workload measures through: a Store implementing sweep.Simulator
+// receives every cold run of a figure, and a refusing Simulate over a
+// pre-filled store still builds the identical table from the store.
+func TestStoreSimulatorRunsColdRuns(t *testing.T) {
+	mem := sweep.NewMemStore()
+	var mu sync.Mutex
+	got := map[string]bool{}
+	first := quickRunner()
+	first.Store = simStore{mem, func(cfg sim.Config) (*sim.Result, error) {
+		mu.Lock()
+		got[cfg.Key()] = true
+		mu.Unlock()
+		return sim.RunConfig(cfg)
+	}}
+	tab1, err := first.Fig4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := first.radixPairPlan(4)
+	p.Base = first.scale(p.Base)
+	cfgs, err := p.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, c := range cfgs {
+		want[c.Normalize().Key()] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Store.Simulate received %d cold runs, want all %d of the figure's cells", len(got), len(want))
+	}
+
+	second := quickRunner()
+	second.Store = simStore{mem, func(cfg sim.Config) (*sim.Result, error) {
+		return nil, fmt.Errorf("cell %s not served from the store", cfg.Desc())
+	}}
+	tab2, err := second.Fig4()
+	if err != nil {
+		t.Fatalf("rebuilding the figure from a filled store: %v", err)
+	}
+	if tab1.String() != tab2.String() {
+		t.Errorf("figure rebuilt from the store differs:\n%s\nvs\n%s", tab1, tab2)
 	}
 }
 

@@ -42,18 +42,13 @@ type Runner struct {
 	Workloads []string
 	// Parallel bounds concurrent simulations (0 = min(4, GOMAXPROCS)).
 	Parallel int
-	// Shards, when positive, runs figure prefetches through the sharded
-	// replication runner (sweep.Runner.RunSharded): each unique
-	// configuration is pinned to one of Shards goroutines by content
-	// key, so a figure's replications spread across cores with a
-	// schedule that is a pure function of the configuration set.
-	Shards int
 	// Progress, when non-nil, receives one line per run: completed,
 	// served from a persistent cache, or failed.
 	Progress io.Writer
 	// Store caches results across figures — and, for a sweep.DirStore,
 	// across processes (cached figure regeneration). Nil selects a
-	// per-Runner in-memory store.
+	// per-Runner in-memory store. A Store that also implements
+	// sweep.Simulator receives every cold run.
 	Store sweep.Store
 	// Context cancels in-flight sweeps (nil = context.Background()).
 	Context context.Context
@@ -66,8 +61,9 @@ type Runner struct {
 // wrapped in a read-through memo so the per-cell gets that follow each
 // figure's prefetch hit process memory instead of re-reading and
 // re-parsing the on-disk JSON for every table cell. A Store that can
-// also compute (sweep.Simulator — a RemoteStore offloading cold runs
-// to an ndpserve instance) keeps that role through the wrapper.
+// also compute (sweep.Simulator) becomes the runner's simulation
+// function; the wrapper does not hide it, since Simulate is taken from
+// the Store itself.
 func (r *Runner) runner() *sweep.Runner {
 	r.once.Do(func() {
 		store := r.Store
@@ -193,21 +189,8 @@ func (r *Runner) get(cfg sim.Config) (*sim.Result, error) {
 
 // prefetch runs every configuration of the plan through the worker
 // pool (deduplicated against the store) and returns the first error.
-// With Shards set, the plan instead runs through the sharded
-// replication runner: configurations pin to shard goroutines by content
-// key, so the execution schedule is reproducible run to run.
 func (r *Runner) prefetch(p sweep.Plan) error {
 	p.Base = r.scale(p.Base)
-	if r.Shards > 0 {
-		cfgs, err := p.Configs()
-		if err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
-		if _, err := r.runner().RunSharded(r.ctx(), cfgs, r.Shards); err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
-		return nil
-	}
 	if _, err := r.runner().RunPlan(r.ctx(), p); err != nil {
 		return fmt.Errorf("exp: %w", err)
 	}

@@ -37,56 +37,38 @@ type Event struct {
 // Desc formats the event's run for a progress line.
 func (e Event) Desc() string { return e.Config.Desc() }
 
-// defaultNegativeCap bounds the failed-run memo when NegativeCap is 0:
-// generous for any real sweep (the full evaluation is a few hundred
-// configurations), small enough that a long-lived server process
-// absorbing an endless stream of distinct bad configurations stays
-// bounded.
-const defaultNegativeCap = 512
-
 // Runner executes simulation configurations through a bounded worker
 // pool, deduplicating by content hash against a pluggable Store. The
 // zero value is ready to use: it simulates with sim.RunConfig, stores
 // results in a private in-memory store, and bounds parallelism at
 // min(4, GOMAXPROCS). Simulator panics are recovered into structured
 // RunErrors (see Guard), so one poisoned configuration fails its run
-// instead of the process. Permanently failed runs — RunError with
-// Permanent set — are negatively cached (up to NegativeCap entries,
-// oldest evicted first), so a sweep that shares cells across figures
-// reports one error per bad configuration instead of re-simulating it;
-// transient failures (network, backpressure exhaustion, watchdog
-// deadlines) are reported to the Run that observed them and retried by
-// the next. A Runner is safe for concurrent use; note that
-// concurrent Run calls whose plans overlap may simulate a shared
-// configuration twice (the store is consulted when each call starts) —
-// results stay correct, only the duplicated work is wasted.
+// instead of the process. Every simulation failure is deterministic for
+// its configuration, so the Runner memoizes it for its lifetime: a sweep
+// that shares cells across figures reports one error per bad
+// configuration instead of re-simulating it. The memo is bounded by the
+// distinct configurations the process asks for. A Runner is safe for
+// concurrent use; note that concurrent Run calls whose plans overlap
+// may simulate a shared configuration twice (the store is consulted
+// when each call starts) — results stay correct, only the duplicated
+// work is wasted.
 type Runner struct {
 	// Store caches results across Run calls — and, for DirStore, across
-	// processes. Nil selects a fresh in-memory store. A Store that also
-	// implements Simulator (RemoteStore) additionally takes over cold
-	// runs unless Simulate overrides it.
+	// processes. Nil selects a fresh in-memory store.
 	Store Store
 	// Parallel bounds concurrent simulations (0 = min(4, GOMAXPROCS)).
 	Parallel int
 	// Progress, when non-nil, receives one Event per run: simulated,
 	// cached (first service only), or failed. Called serially.
 	Progress func(Event)
-	// Simulate overrides the simulation function (tests, remote
-	// offload). Nil selects the Store's Simulate when it implements
-	// Simulator, else sim.RunConfig.
+	// Simulate overrides the simulation function (tests, the benchmark
+	// harness). Nil selects sim.RunConfig.
 	Simulate func(sim.Config) (*sim.Result, error)
-	// NegativeCap bounds the failed-run memo (0 = 512). When full, the
-	// oldest failure is forgotten — a re-request of that configuration
-	// simulates again instead of replaying the memoized error, which is
-	// the right trade for a long-lived server process: memory stays
-	// bounded and transient failures eventually retry.
-	NegativeCap int
 
-	mu       sync.Mutex
-	store    Store
-	errs     map[string]error // simulation failures, by key
-	errOrder []string         // errs insertion order, for capped eviction
-	served   map[string]bool  // keys already announced to Progress
+	mu     sync.Mutex
+	store  Store
+	errs   map[string]error // simulation failures, by key
+	served map[string]bool  // keys already announced to Progress
 
 	// progressMu serializes Progress callbacks separately from the
 	// state mutex, so a slow or re-entrant callback cannot stall the
@@ -121,48 +103,19 @@ func (r *Runner) parallel() int {
 	return p
 }
 
+// sim runs one configuration under Guard; every failure comes back as a
+// RunError.
 func (r *Runner) sim(cfg sim.Config) (*sim.Result, error) {
-	if r.Simulate != nil {
-		return Guard(r.Simulate)(cfg)
+	simulate := r.Simulate
+	if simulate == nil {
+		simulate = sim.RunConfig
 	}
-	if s, ok := r.store.(Simulator); ok {
-		return Guard(s.Simulate)(cfg)
-	}
-	res, err := Guard(sim.RunConfig)(cfg)
-	if err != nil && !IsPermanent(err) {
-		var re *RunError
-		if !errors.As(err, &re) {
-			// A local sim.RunConfig error is a build-time property of the
-			// configuration — deterministic, so safe to memoize.
-			err = &RunError{Op: "simulate", Desc: cfg.Desc(), Permanent: true, Err: err}
-		}
+	res, err := Guard(simulate)(cfg)
+	var re *RunError
+	if err != nil && !errors.As(err, &re) {
+		err = &RunError{Op: "simulate", Desc: cfg.Desc(), Err: err}
 	}
 	return res, err
-}
-
-// recordFailure memoizes a simulation failure under r.mu, evicting the
-// oldest entry when the negative cache is at capacity. Only permanent
-// failures are memoized: negatively caching a transient error (an
-// unreachable server, an exhausted 429 budget, a watchdog timeout)
-// would pin a blip as a process-lifetime failure.
-func (r *Runner) recordFailure(key string, err error) {
-	if !IsPermanent(err) {
-		return
-	}
-	cap := r.NegativeCap
-	if cap <= 0 {
-		cap = defaultNegativeCap
-	}
-	r.mu.Lock()
-	if _, ok := r.errs[key]; !ok {
-		for len(r.errOrder) >= cap {
-			delete(r.errs, r.errOrder[0])
-			r.errOrder = r.errOrder[1:]
-		}
-		r.errOrder = append(r.errOrder, key)
-	}
-	r.errs[key] = err
-	r.mu.Unlock()
 }
 
 // emit serializes Progress callbacks.
@@ -223,13 +176,13 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]*sim.Result, err
 		keys[i] = norm[i].Key()
 	}
 
-	// This Run's results and non-cacheable failures (store writes), by
-	// key; both guarded by r.mu.
+	// This Run's results and store-write failures, by key; both guarded
+	// by r.mu.
 	results := make(map[string]*sim.Result, n)
-	runErrs := make(map[string]error)
+	putErrs := make(map[string]error)
 
-	// Classify: serve store hits and negatively-cached failures, queue
-	// the rest once per unique key.
+	// Classify: serve store hits and memoized failures, queue the rest
+	// once per unique key.
 	var pending []int
 	queued := make(map[string]bool)
 	for i := range norm {
@@ -239,12 +192,7 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]*sim.Result, err
 		}
 		queued[k] = true
 		r.mu.Lock()
-		memoErr, failed := r.errs[k]
-		if failed {
-			// Pin the memoized failure for this Run's assembly: the
-			// capped memo may evict it before we read it back.
-			runErrs[k] = memoErr
-		}
+		_, failed := r.errs[k]
 		r.mu.Unlock()
 		if failed {
 			continue
@@ -279,7 +227,7 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]*sim.Result, err
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				r.runOne(norm[i], keys[i], results, runErrs)
+				r.runOne(norm[i], keys[i], results, putErrs)
 			}
 		}()
 	}
@@ -307,7 +255,7 @@ dispatch:
 		out[i] = results[k]
 		err := r.errs[k]
 		if err == nil {
-			err = runErrs[k]
+			err = putErrs[k]
 		}
 		r.mu.Unlock()
 		if out[i] == nil && err == nil {
@@ -322,24 +270,20 @@ dispatch:
 
 // runOne simulates one configuration on a worker and records the
 // outcome.
-func (r *Runner) runOne(cfg sim.Config, key string, results map[string]*sim.Result, runErrs map[string]error) {
+func (r *Runner) runOne(cfg sim.Config, key string, results map[string]*sim.Result, putErrs map[string]error) {
 	start := time.Now()
 	res, err := r.sim(cfg)
 	if err != nil {
 		err = fmt.Errorf("sweep: %s: %w", cfg.Desc(), err)
-		// The lifetime memo (r.errs) may evict under NegativeCap;
-		// runErrs is scoped to this Run call, so the call that observed
-		// the failure always reports it whatever the memo does.
-		r.recordFailure(key, err)
 		r.mu.Lock()
-		runErrs[key] = err
+		r.errs[key] = err
 		r.mu.Unlock()
 		r.emit(Event{Config: cfg, Key: key, Err: err, Elapsed: time.Since(start)})
 		return
 	}
 	// A failed cache write is a real I/O problem the caller must see,
 	// but the computed result is still good — record both, and don't
-	// negatively cache what a retry could fix.
+	// memoize what a retry could fix.
 	var putErr error
 	if perr := r.store.Put(key, res); perr != nil {
 		putErr = fmt.Errorf("sweep: %s: %w", cfg.Desc(), perr)
@@ -347,7 +291,7 @@ func (r *Runner) runOne(cfg sim.Config, key string, results map[string]*sim.Resu
 	r.mu.Lock()
 	results[key] = res
 	if putErr != nil {
-		runErrs[key] = putErr
+		putErrs[key] = putErr
 	}
 	// Later store hits on this key are memo hits of our own work, not
 	// cache reuse — don't announce them as cached.

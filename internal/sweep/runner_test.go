@@ -87,8 +87,7 @@ func TestRunnerNegativeCachesFailures(t *testing.T) {
 		Simulate: func(cfg sim.Config) (*sim.Result, error) {
 			calls.Add(1)
 			if cfg.Seed == 2 {
-				// Permanent: only deterministic failures are memoized.
-				return nil, &RunError{Op: "simulate", Permanent: true, Err: boom}
+				return nil, boom
 			}
 			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
 		},
@@ -97,6 +96,10 @@ func TestRunnerNegativeCachesFailures(t *testing.T) {
 	out, err := r.Run(context.Background(), cfgs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want boom", err)
+	}
+	var re *RunError
+	if !errors.As(err, &re) || re.Op != "simulate" || re.Desc != cfgs[1].Desc() {
+		t.Errorf("Run error %v is not a RunError naming the failed run", err)
 	}
 	if out[0] == nil || out[1] != nil || out[2] == nil {
 		t.Fatalf("unexpected results: %v", out)
@@ -123,55 +126,6 @@ func TestRunnerNegativeCachesFailures(t *testing.T) {
 	}
 	if calls.Load() != before {
 		t.Errorf("failed run was re-simulated")
-	}
-}
-
-// TestRunnerNegativeCacheBounded: the failure memo is capped at
-// NegativeCap entries, evicting oldest-first. An evicted key
-// re-simulates on its next Run; keys still memoized do not — and every
-// Run reports the failure it observed regardless of later eviction.
-func TestRunnerNegativeCacheBounded(t *testing.T) {
-	var calls atomic.Int64
-	boom := errors.New("boom")
-	r := &Runner{
-		NegativeCap: 2,
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
-			calls.Add(1)
-			return nil, &RunError{Op: "simulate", Permanent: true, Err: boom}
-		},
-	}
-	ctx := context.Background()
-	// Three failing seeds, one Run each: recording seed 3 evicts seed 1.
-	for _, seed := range []uint64{1, 2, 3} {
-		if _, err := r.Run(ctx, seedPlan(seed)); !errors.Is(err, boom) {
-			t.Fatalf("seed %d: err = %v, want boom", seed, err)
-		}
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("initial failures simulated %d times, want 3", calls.Load())
-	}
-	// Seeds 2 and 3 are still memoized: failures report with no new
-	// simulation.
-	for _, seed := range []uint64{2, 3} {
-		if _, err := r.Run(ctx, seedPlan(seed)); !errors.Is(err, boom) {
-			t.Fatalf("memoized seed %d: err = %v, want boom", seed, err)
-		}
-	}
-	if calls.Load() != 3 {
-		t.Errorf("memoized failures re-simulated: %d calls, want 3", calls.Load())
-	}
-	// Seed 1 was evicted: its next Run re-simulates (and still fails).
-	if _, err := r.Run(ctx, seedPlan(1)); !errors.Is(err, boom) {
-		t.Fatalf("evicted seed 1: err = %v, want boom", err)
-	}
-	if calls.Load() != 4 {
-		t.Errorf("evicted failure served from memo: %d calls, want 4", calls.Load())
-	}
-	// One Run observing a failure that is evicted mid-flight by other
-	// failures still reports it: the per-Run pin, not the shared memo,
-	// carries the error to assembly.
-	if _, err := r.Run(ctx, seedPlan(10, 11, 12, 13)); !errors.Is(err, boom) {
-		t.Fatalf("multi-failure Run with eviction churn: err = %v, want boom", err)
 	}
 }
 
@@ -286,44 +240,16 @@ func TestRunnerRealSimulation(t *testing.T) {
 	}
 }
 
-// TestRunnerTransientFailuresNotCached: a transient failure (plain
-// error, or RunError without Permanent) is reported to the Run that
-// observed it but never memoized — the next Run retries, and a
-// recovered transient can then succeed.
-func TestRunnerTransientFailuresNotCached(t *testing.T) {
-	var calls atomic.Int64
-	blip := errors.New("connection reset")
-	r := &Runner{
-		Simulate: func(cfg sim.Config) (*sim.Result, error) {
-			if calls.Add(1) == 1 {
-				return nil, &RunError{Op: "remote-sim", Err: blip} // transient
-			}
-			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
-		},
-	}
-	cfgs := seedPlan(1)
-	if _, err := r.Run(context.Background(), cfgs); !errors.Is(err, blip) {
-		t.Fatalf("first Run error = %v, want blip", err)
-	}
-	out, err := r.Run(context.Background(), cfgs)
-	if err != nil {
-		t.Fatalf("retry after transient failure: %v", err)
-	}
-	if out[0] == nil || out[0].Cycles != 1 {
-		t.Fatalf("retry result = %+v", out[0])
-	}
-	if calls.Load() != 2 {
-		t.Errorf("sim calls = %d, want 2 (transient failure retried)", calls.Load())
-	}
-}
-
 // TestRunnerRecoversSimulatorPanics: a panicking configuration costs
-// one failed run with a structured, permanent, stack-carrying RunError
-// — not the process — and healthy runs in the same sweep complete.
+// one failed run with a structured, stack-carrying RunError — not the
+// process — healthy runs in the same sweep complete, and the failure is
+// memoized like any other.
 func TestRunnerRecoversSimulatorPanics(t *testing.T) {
+	var panics atomic.Int64
 	r := &Runner{
 		Simulate: func(cfg sim.Config) (*sim.Result, error) {
 			if cfg.Seed == 2 {
+				panics.Add(1)
 				panic("poisoned page table state")
 			}
 			return &sim.Result{Config: cfg, Cycles: cfg.Seed}, nil
@@ -337,34 +263,16 @@ func TestRunnerRecoversSimulatorPanics(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("error %v is not a RunError", err)
 	}
-	if !re.Panicked || !re.Permanent || re.Stack == "" {
-		t.Errorf("RunError = {Panicked:%v Permanent:%v stack %d bytes}, want panicked+permanent with stack", re.Panicked, re.Permanent, len(re.Stack))
+	if !re.Panicked || re.Stack == "" {
+		t.Errorf("RunError = {Panicked:%v stack %d bytes}, want a panic with its stack", re.Panicked, len(re.Stack))
 	}
 	if out[0] == nil || out[2] == nil || out[1] != nil {
 		t.Errorf("healthy runs lost around the panic: %v", out)
 	}
-}
-
-// TestGuardInjectedPanicIsTransient: a panic value satisfying the
-// injected-fault contract classifies transient — chaos testing must not
-// poison the negative cache.
-func TestGuardInjectedPanicIsTransient(t *testing.T) {
-	guarded := Guard(func(sim.Config) (*sim.Result, error) { panic(markedPanic{}) })
-	_, err := guarded(testBase())
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %v is not a RunError", err)
+	if _, err := r.Run(context.Background(), seedPlan(2)); !errors.As(err, &re) || !re.Panicked {
+		t.Fatalf("memoized panic lost: %v", err)
 	}
-	if re.Permanent || !re.Panicked {
-		t.Errorf("injected panic classified {Permanent:%v Panicked:%v}, want transient panic", re.Permanent, re.Panicked)
-	}
-	if IsPermanent(err) {
-		t.Error("IsPermanent(injected panic) = true")
+	if panics.Load() != 1 {
+		t.Errorf("panicking config simulated %d times, want 1", panics.Load())
 	}
 }
-
-// markedPanic satisfies the transient-panic contract the fault package
-// uses (declared structurally so sweep never imports fault).
-type markedPanic struct{}
-
-func (markedPanic) InjectedFault() bool { return true }

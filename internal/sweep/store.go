@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"ndpage/internal/sim"
 )
@@ -25,35 +26,11 @@ type Store interface {
 	Put(key string, res *sim.Result) error
 }
 
-// Inventory is the optional Store extension for stores that can report
-// their contents cheaply — without a directory walk or network round
-// trip per call. The result server's /statsz endpoint uses it to report
-// stored-result counts on every scrape. MemStore and DirStore both
-// implement it.
-type Inventory interface {
-	// Len returns the number of stored results.
-	Len() int
-	// Keys returns every stored key in sorted order.
-	Keys() []string
-}
-
-// Quarantiner is the optional Store extension for stores that isolate
-// corrupt entries instead of failing on them. The result server's
-// /statsz endpoint reports the count so an operator notices a sick disk
-// (or a chaos test asserts its injected corruption was healed).
-type Quarantiner interface {
-	// Quarantined returns the number of corrupt entries isolated since
-	// the store was opened.
-	Quarantined() int
-}
-
 // Simulator is the optional Store extension for stores that can compute
-// a missing result themselves — a RemoteStore backed by an ndpserve
-// instance runs the simulation server-side, where a singleflight
-// scheduler collapses identical requests from every client into one
-// run. When a Runner's store implements Simulator (and no explicit
-// Simulate override is set), cold keys are delegated to it instead of
-// simulated in-process.
+// a missing result themselves. Runner does not probe for it: exp.Runner
+// adopts a Store's Simulate as its simulation function, which is how
+// the perfbench harness observes and refuses the figure path's cold
+// runs.
 type Simulator interface {
 	Simulate(cfg sim.Config) (*sim.Result, error)
 }
@@ -86,129 +63,63 @@ func (s *MemStore) Put(key string, res *sim.Result) error {
 	return nil
 }
 
-// Len returns the number of stored results.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// Keys returns the stored keys in sorted order.
-func (s *MemStore) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // DirStore is an on-disk Store: one JSON file per result, named by the
 // config key. Writes go through a temp file + rename, so an interrupted
 // sweep never leaves a half-written entry — whatever completed before
 // the kill is picked up unchanged by the next run, and the sweep resumes
-// from where it stopped.
-//
-// DirStore also keeps an in-memory key inventory: the directory is
-// scanned once at open, then maintained on every Put (and on Get hits
-// for entries another process wrote), so Len and Keys never walk the
-// directory. A long-lived server scraping /statsz pays map reads, not
-// readdir syscalls, per snapshot.
+// from where it stopped. Several processes may share one directory.
 //
 // Corrupt entries self-heal: an entry that no longer parses — a torn
-// write that bypassed the atomic rename (power loss, a sick filesystem,
-// an injected chaos fault) — is moved into a quarantine/ subdirectory,
-// counted, and reported as a miss, so the sweep re-simulates the run
-// instead of hard-failing on that key forever. The debris is kept, not
-// deleted, so an operator can post-mortem it.
+// write that bypassed the atomic rename (power loss, a sick filesystem)
+// — is moved into a quarantine/ subdirectory, counted, and reported as
+// a miss, so the sweep re-simulates the run instead of hard-failing on
+// that key forever. The debris is kept, not deleted, so it can be
+// examined afterwards.
 type DirStore struct {
-	dir string
-
-	mu          sync.Mutex
-	keys        map[string]struct{}
-	quarantined int
+	dir         string
+	quarantined atomic.Int64
 }
 
+// staleTempAge is how old a temp file must be before NewDirStore treats
+// it as orphaned by a killed writer. One Put's write-then-rename takes
+// milliseconds, so a younger temp file may belong to a live writer in
+// another process sharing the directory and must be left alone.
+const staleTempAge = 10 * time.Minute
+
 // NewDirStore opens (creating if needed) the cache directory. Temp
-// files orphaned by a killed writer are swept out on open, and the
-// existing entries are indexed for Len/Keys.
+// files orphaned by a killed writer are swept out on open.
 func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
-	if stale, err := filepath.Glob(filepath.Join(dir, "*.tmp-*")); err == nil {
-		for _, p := range stale {
-			os.Remove(p)
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*")); err == nil {
+		for _, p := range tmps {
+			if fi, err := os.Stat(p); err == nil && time.Since(fi.ModTime()) > staleTempAge {
+				os.Remove(p)
+			}
 		}
 	}
-	s := &DirStore{dir: dir, keys: make(map[string]struct{})}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, fmt.Errorf("sweep: cache dir scan: %w", err)
-	}
-	for _, p := range entries {
-		s.keys[strings.TrimSuffix(filepath.Base(p), ".json")] = struct{}{}
-	}
-	return s, nil
-}
-
-// Len returns the number of stored results (from the in-memory
-// inventory; no directory walk).
-func (s *DirStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.keys)
-}
-
-// Keys returns the stored keys in sorted order (from the in-memory
-// inventory; no directory walk).
-func (s *DirStore) Keys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.keys))
-	for k := range s.keys {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// index records key in the inventory.
-func (s *DirStore) index(key string) {
-	s.mu.Lock()
-	s.keys[key] = struct{}{}
-	s.mu.Unlock()
+	return &DirStore{dir: dir}, nil
 }
 
 // Quarantined returns the number of corrupt entries isolated since open.
 func (s *DirStore) Quarantined() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
+	return int(s.quarantined.Load())
 }
 
 // quarantine isolates a corrupt entry: the file moves into quarantine/
 // under a sequence-numbered name (repeated corruption of one key keeps
-// every specimen), the key leaves the inventory, and the caller reports
-// a miss so the run re-simulates. If the rename itself fails the debris
-// is removed instead — a corrupt entry must never be served again.
+// every specimen), and the caller reports a miss so the run
+// re-simulates. If the rename itself fails the debris is removed
+// instead — a corrupt entry must never be served again.
 func (s *DirStore) quarantine(key, path string) {
-	s.mu.Lock()
-	s.quarantined++
-	n := s.quarantined
-	delete(s.keys, key)
-	s.mu.Unlock()
+	n := s.quarantined.Add(1)
 	qdir := filepath.Join(s.dir, "quarantine")
 	dst := filepath.Join(qdir, fmt.Sprintf("%s.%d.json", key, n))
 	if err := os.MkdirAll(qdir, 0o755); err != nil || os.Rename(path, dst) != nil {
 		os.Remove(path)
 	}
 }
-
-// Dir returns the cache directory.
-func (s *DirStore) Dir() string { return s.dir }
 
 func (s *DirStore) path(key string) (string, error) {
 	// Keys are hex hashes; refuse anything that could escape the dir.
@@ -244,9 +155,6 @@ func (s *DirStore) Get(key string) (*sim.Result, bool, error) {
 	if res.Config.Key() != key {
 		return nil, false, nil
 	}
-	// Another process may have written this entry after our open scan;
-	// keep the inventory honest.
-	s.index(key)
 	return &res, true, nil
 }
 
@@ -277,6 +185,5 @@ func (s *DirStore) Put(key string, res *sim.Result) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweep: write cache %s: %w", key, err)
 	}
-	s.index(key)
 	return nil
 }

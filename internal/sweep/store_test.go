@@ -7,9 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ndpage/internal/addr"
 	"ndpage/internal/sim"
@@ -52,9 +52,6 @@ func TestMemStore(t *testing.T) {
 	if err != nil || !ok || got != res {
 		t.Fatalf("Get after Put = %v, %v, %v", got, ok, err)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
-	}
 }
 
 func TestDirStoreRoundTrip(t *testing.T) {
@@ -80,58 +77,6 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDirStoreInventory: Len/Keys come from the in-memory index — no
-// directory walk per request — and the index tracks entries written by
-// this process, found at open, and discovered from other processes via
-// Get.
-func TestDirStoreInventory(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	s, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 || len(s.Keys()) != 0 {
-		t.Fatalf("fresh store inventory: %d, %v", s.Len(), s.Keys())
-	}
-	var want []string
-	for _, seed := range []uint64{1, 2, 3} {
-		cfg := testBaseWithSeed(seed)
-		want = append(want, cfg.Key())
-		if err := s.Put(cfg.Key(), fakeResult(cfg)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sort.Strings(want)
-	if got := s.Keys(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Keys after Puts = %v, want %v", got, want)
-	}
-
-	// A second store over the same directory scans the inventory at open.
-	s2, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 3 || !reflect.DeepEqual(s2.Keys(), want) {
-		t.Fatalf("reopened inventory = %d %v, want 3 %v", s2.Len(), s2.Keys(), want)
-	}
-
-	// An entry written by another process after open is indexed when a
-	// Get discovers it.
-	late := testBaseWithSeed(4)
-	if err := s2.Put(late.Key(), fakeResult(late)); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("foreign write counted before Get: %d", s.Len())
-	}
-	if _, ok, err := s.Get(late.Key()); !ok || err != nil {
-		t.Fatalf("Get foreign entry: %v, %v", ok, err)
-	}
-	if s.Len() != 4 {
-		t.Errorf("foreign entry not indexed after Get: %d", s.Len())
-	}
-}
-
 func testBaseWithSeed(seed uint64) sim.Config {
 	cfg := testBase()
 	cfg.Seed = seed
@@ -153,17 +98,37 @@ func TestDirStoreRejectsMalformedKeys(t *testing.T) {
 	}
 }
 
+// TestDirStoreSweepsOrphanedTempFiles: opening a store removes temp
+// files old enough to have been orphaned by a killed writer, and leaves
+// a fresh one alone — it may belong to another process's Put, about to
+// be renamed into place.
 func TestDirStoreSweepsOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	orphan := filepath.Join(dir, "deadbeef.tmp-12345")
-	if err := os.WriteFile(orphan, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
+	live := filepath.Join(dir, "cafef00d.tmp-67890")
+	for _, p := range []string{orphan, live} {
+		if err := os.WriteFile(p, []byte("half-written"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	age(t, orphan)
 	if _, err := NewDirStore(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Errorf("orphaned temp file survived NewDirStore: %v", err)
+	}
+	if _, err := os.Stat(live); err != nil {
+		t.Errorf("fresh temp file of a live writer removed by NewDirStore: %v", err)
+	}
+}
+
+// age backdates path past staleTempAge, as if its writer died long ago.
+func age(t *testing.T, path string) {
+	t.Helper()
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -317,6 +282,7 @@ func TestDirStoreCrashRecovery(t *testing.T) {
 	if err := os.WriteFile(orphan, []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	age(t, orphan)
 
 	store2, err := NewDirStore(dir)
 	if err != nil {

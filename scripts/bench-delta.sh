@@ -25,7 +25,6 @@ rows = [
     ("step_ndpage_ns_per_op", "step ns/op (NDPage)", False),
     ("step_mlp_ns_per_op", "step ns/op (MLP)", False),
     ("sweep_serial_instr_per_s", "sweep serial instr/s", True),
-    ("sweep_sharded_instr_per_s", "sweep sharded instr/s", True),
 ]
 
 print(f"{'metric':<24} {'PR6 base':>14} {'PR7':>14} {'delta':>9}")

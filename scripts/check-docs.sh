@@ -42,7 +42,7 @@ defined_flags() {
 # mentions; every -flag token on the line must be in that union.
 while IFS= read -r line; do
   tools=""
-  for tool in ndpsim ndpexp ndptrace ndpserve; do
+  for tool in ndpsim ndpexp ndptrace; do
     if echo "$line" | grep -qE "(^|[^a-z])$tool([^a-z]|\$)"; then
       tools="$tools $tool"
     fi

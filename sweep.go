@@ -38,10 +38,6 @@ type SweepEvent = sweep.Event
 // Store persists sweep results content-addressed by Config.Key().
 type Store = sweep.Store
 
-// StoreInventory is the optional Store extension for stores that can
-// report their contents cheaply (all built-in stores implement it).
-type StoreInventory = sweep.Inventory
-
 // NewMemStore returns an in-process result store.
 func NewMemStore() *sweep.MemStore { return sweep.NewMemStore() }
 
@@ -50,38 +46,7 @@ func NewMemStore() *sweep.MemStore { return sweep.NewMemStore() }
 // atomically.
 func NewDirStore(dir string) (*sweep.DirStore, error) { return sweep.NewDirStore(dir) }
 
-// RemoteStore is a Store backed by a shared ndpserve instance: warm
-// keys are fetched over HTTP (with per-key ETag revalidation and a
-// local write-through cache), locally computed results are uploaded,
-// and cold sweep runs are delegated to the server's singleflight
-// scheduler, which collapses identical requests from every client into
-// a single simulation. Point Sweep.Store (or Experiments.Cache) at one
-// to share the run cache across users and machines.
-type RemoteStore = sweep.RemoteStore
-
-// NewRemoteStore returns a RemoteStore talking to the ndpserve instance
-// at baseURL (e.g. "http://localhost:8947").
-func NewRemoteStore(baseURL string) (*sweep.RemoteStore, error) { return sweep.NewRemoteStore(baseURL) }
-
-// RunError is the structured failure of one simulation run, carrying a
-// transient/permanent classification: permanent failures are a property
-// of the configuration (retrying reproduces them; the Sweep negatively
-// caches them), transient failures a property of the moment (network
-// blips, watchdog deadlines, injected chaos — the next Run retries).
+// RunError is the structured failure of one simulation run: a build
+// error, or a simulator panic recovered with its stack. Failures are
+// deterministic for their configuration, so a Sweep memoizes them.
 type RunError = sweep.RunError
-
-// IsPermanent reports whether err is (or wraps) a RunError marked
-// Permanent.
-func IsPermanent(err error) bool { return sweep.IsPermanent(err) }
-
-// BreakerState is a RemoteStore circuit breaker's position: closed
-// (normal service), open (degraded local operation), or half-open (a
-// recovery probe in flight).
-type BreakerState = sweep.BreakerState
-
-// The breaker positions.
-const (
-	BreakerClosed   = sweep.BreakerClosed
-	BreakerOpen     = sweep.BreakerOpen
-	BreakerHalfOpen = sweep.BreakerHalfOpen
-)
