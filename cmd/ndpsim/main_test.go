@@ -106,6 +106,17 @@ func TestDefaultFootprintOutgrowingMemoryIsError(t *testing.T) {
 	}
 }
 
+// TestMemoryNotHugeMultipleIsError: -memory must be a positive multiple
+// of 2 MB; anything else ends in the validation error, not a panic in
+// the physical allocator.
+func TestMemoryNotHugeMultipleIsError(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-memory", "3145728", "-workload", "rnd", "-instructions", "1000"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "not a positive multiple of 2 MB") {
+		t.Fatalf("run = %v, want the 2 MB multiple error", err)
+	}
+}
+
 func TestRunRejectsUnknownSystem(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-system", "tpu"}, &out); err == nil {

@@ -15,6 +15,7 @@ package bitset
 import (
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // pageBits is log2 of the bits per directory page. 1<<15 bits = 4 KB of
@@ -75,6 +76,16 @@ func (p *Paged) Clear(key uint64) {
 
 // Len returns the number of keys in the set.
 func (p *Paged) Len() uint64 { return p.count }
+
+// Bytes returns the set's resident size: its directory and the pages
+// allocated so far.
+func (p *Paged) Bytes() uint64 {
+	n := uint64(cap(p.pages)) * uint64(unsafe.Sizeof(p.pages[:0]))
+	for _, pg := range p.pages {
+		n += uint64(len(pg)) * 8
+	}
+	return n
+}
 
 // Word-bitmap helpers: operations on caller-owned []uint64 bitmaps, for
 // structures that know their capacity up front and want the bits inline

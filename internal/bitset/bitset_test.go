@@ -12,6 +12,21 @@ func TestZeroValueIsEmpty(t *testing.T) {
 	}
 }
 
+// TestBytesCountsDirectoryAndPages: Bytes grows by one page per touched
+// key range and by the directory's slice headers.
+func TestBytesCountsDirectoryAndPages(t *testing.T) {
+	var p Paged
+	if p.Bytes() != 0 {
+		t.Fatalf("empty set Bytes = %d, want 0", p.Bytes())
+	}
+	p.Set(3*pageSize + 1)
+	p.Set(3*pageSize + 2)
+	const header = 24 // one []uint64 slice header
+	if got, want := p.Bytes(), uint64(cap(p.pages))*header+words*8; got != want {
+		t.Errorf("Bytes = %d, want %d (one page plus a %d-entry directory)", got, want, cap(p.pages))
+	}
+}
+
 func TestSetGetClear(t *testing.T) {
 	var p Paged
 	keys := []uint64{0, 1, 63, 64, pageSize - 1, pageSize, pageSize + 7, 3 * pageSize}

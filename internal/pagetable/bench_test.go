@@ -58,12 +58,26 @@ func BenchmarkRadixMapRange(b *testing.B) {
 	}
 }
 
+// BenchmarkCuckooMapRange builds an ECH table the way the simulator
+// does (4096 initial slots per way) and fills 8 GB of pages through
+// 512-page MapRange calls, the eager-population pattern.
+func BenchmarkCuckooMapRange(b *testing.B) {
+	const pages, run = 1 << 21, 512
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t := NewCuckoo(phys.New(16<<30), 4096)
+		for v := uint64(0); v < pages; v += run {
+			t.MapRange(addr.VPN(1<<27+v), run, addr.PFN(v))
+		}
+	}
+}
+
 func BenchmarkCuckooInsert(b *testing.B) {
 	t := NewCuckoo(phys.New(1<<30), 1<<16)
 	rng := xrand.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Map(addr.VPN(rng.Uint64n(1<<40)), addr.PFN(i))
+		t.Map(addr.VPN(rng.Uint64n(cuckooVPNs)), addr.PFN(i))
 	}
 }
 

@@ -26,11 +26,20 @@ import (
 // the size, tracked by a migration pointer. Entries whose old-table slot
 // index is below the pointer have been rehashed into the new table, so a
 // lookup still needs exactly one probe per way during resizing.
+//
+// The table covers the simulator's translated domain: VPNs below 2^36
+// (the canonical lower half of the 48-bit address space) and PFNs below
+// 2^28 (1 TB of physical memory). Map and NewCuckoo panic outside it.
 type Cuckoo struct {
 	alloc *phys.Allocator
 	ways  []*cuckooWay
 	salts []uint64
 	count uint64
+
+	// member holds one bit per mapped VPN below memberSpan: Present,
+	// Lookup's miss path and Map's update-in-place check read one bit
+	// instead of probing d random slots.
+	member bitset.Paged
 
 	// MigrateStep entries are rehashed per insert while a way resizes.
 	migrateStep int
@@ -48,14 +57,36 @@ type CuckooStats struct {
 	Migrated uint64 // entries moved during gradual resizes
 }
 
-// cuckooSlot is one hash-table entry: exactly slotBytes wide, matching
-// the modelled PTE. Occupancy lives outside the slot array in a per-way
-// bitmap, so the slot stays two words and a lookup's emptiness test
-// reads bit-packed metadata instead of a padded bool per slot.
-type cuckooSlot struct {
-	vpn addr.VPN
-	pfn addr.PFN
+// cuckooSlot is one hash-table entry packed into a word: the VPN tag in
+// the high vpnBits bits, the PFN in the low pfnBits. It is the host
+// copy of the modelled slotBytes-wide PTE, whose size alone sets the
+// simulated slot addresses. Occupancy lives outside the slot array in a
+// per-way bitmap, so every 64-bit pattern is a valid entry.
+type cuckooSlot uint64
+
+// Slot packing: the translated domain the table accepts.
+const (
+	pfnBits = 28
+	vpnBits = 64 - pfnBits
+	pfnMask = 1<<pfnBits - 1
+)
+
+// CuckooMaxFrames is the most physical frames (1 TB of memory) a
+// Cuckoo table's packed slot can name.
+const CuckooMaxFrames = 1 << pfnBits
+
+func packSlot(vpn addr.VPN, pfn addr.PFN) cuckooSlot {
+	return cuckooSlot(uint64(vpn)<<pfnBits | uint64(pfn))
 }
+
+func (s cuckooSlot) vpn() addr.VPN { return addr.VPN(s >> pfnBits) }
+func (s cuckooSlot) pfn() addr.PFN { return addr.PFN(s & pfnMask) }
+
+// memberSpan bounds the VPNs the membership bitmap covers: 2^30 pages,
+// 4 TB of virtual space, well above any heap the OS model bump-allocates
+// from its base. Sparse keys beyond it (scattered test keys) fall back
+// to probing the ways, so they cannot inflate the bitmap's directory.
+const memberSpan = 1 << 30
 
 // cuckooTab is one hash table (a way's old or new array during gradual
 // resizing): the slots, their occupancy bitmap, and the backing frames.
@@ -63,6 +94,9 @@ type cuckooTab struct {
 	slots  []cuckooSlot
 	occ    []uint64 // one bit per slot
 	frames []addr.P // one frame per slotsPerFrame slots
+	// limit is the largest entry count a way backed by this table holds
+	// before maybeResize begins resizing it.
+	limit int
 }
 
 // full reports whether slot i holds an entry.
@@ -78,15 +112,29 @@ type cuckooWay struct {
 	migPtr   int
 }
 
-// slotsPerFrame is how many 16-byte slots fit a 4 KB frame.
-const slotsPerFrame = addr.PageSize / 16
-
-// slotBytes is the size of one cuckoo PTE slot (VPN tag + PFN + flags).
+// slotBytes is the size of one modelled cuckoo PTE slot (VPN tag + PFN
+// + flags). It fixes every simulated slot address; the host slot is
+// packed narrower.
 const slotBytes = 16
 
+// slotsPerFrame is how many modelled slots fit a 4 KB frame.
+const slotsPerFrame = addr.PageSize / slotBytes
+
 // NewCuckoo builds an ECH table with the given initial slots per way
-// (rounded up to a power of two; minimum one frame's worth).
+// (rounded up to a power of two; minimum one frame's worth). It panics
+// on an allocator whose frames a packed slot cannot name.
 func NewCuckoo(alloc *phys.Allocator, initialSlots int) *Cuckoo {
+	return newCuckoo(alloc, initialSlots, 0.6)
+}
+
+// newCuckoo is NewCuckoo with the per-way resize threshold as a
+// parameter; tests raise it to reach displacement failures and the
+// forced resizes they trigger.
+func newCuckoo(alloc *phys.Allocator, initialSlots int, threshold float64) *Cuckoo {
+	if alloc.TotalFrames() > CuckooMaxFrames {
+		panic(fmt.Sprintf("pagetable: cuckoo table addresses at most 2^%d frames, allocator has %d",
+			pfnBits, alloc.TotalFrames()))
+	}
 	size := slotsPerFrame
 	for size < initialSlots {
 		size *= 2
@@ -95,7 +143,7 @@ func NewCuckoo(alloc *phys.Allocator, initialSlots int) *Cuckoo {
 		alloc:       alloc,
 		salts:       []uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9},
 		migrateStep: 8,
-		threshold:   0.6,
+		threshold:   threshold,
 	}
 	for range c.salts {
 		c.ways = append(c.ways, c.newWay(size))
@@ -119,6 +167,8 @@ func (c *Cuckoo) newTab(size int) cuckooTab {
 		slots:  make([]cuckooSlot, size),
 		occ:    make([]uint64, bitset.WordsFor(uint64(size))),
 		frames: c.allocFrames(size),
+		// The largest n with !(float64(n) > threshold*size).
+		limit: int(c.threshold * float64(size)),
 	}
 }
 
@@ -135,8 +185,10 @@ func (c *Cuckoo) allocFrames(slots int) []addr.P {
 	return frames
 }
 
-func (c *Cuckoo) hash(w int, vpn addr.VPN, size int) int {
-	return int(xrand.Hash64(uint64(vpn)^c.salts[w])) & (size - 1)
+// hash returns way w's hash of vpn; a table of size slots uses its low
+// log2(size) bits, so a way's old and new tables share one hash.
+func (c *Cuckoo) hash(w int, vpn addr.VPN) int {
+	return int(xrand.Hash64(uint64(vpn) ^ c.salts[w]))
 }
 
 // slotPA returns the physical address of slot i given the backing frames.
@@ -145,40 +197,53 @@ func slotPA(frames []addr.P, i int) addr.P {
 }
 
 // probe resolves where a lookup for vpn lands in way w: the table (old,
-// or new during gradual resizing), the slot index, and the slot's
-// physical address.
-func (c *Cuckoo) probe(w int, vpn addr.VPN) (tab *cuckooTab, idx int, pa addr.P) {
+// or new during gradual resizing) and the slot index.
+func (c *Cuckoo) probe(w int, vpn addr.VPN) (tab *cuckooTab, idx int) {
 	way := c.ways[w]
-	hOld := c.hash(w, vpn, len(way.slots))
-	if way.resizing && hOld < way.migPtr {
-		hNew := c.hash(w, vpn, len(way.newTab.slots))
-		return &way.newTab, hNew, slotPA(way.newTab.frames, hNew)
+	h := c.hash(w, vpn)
+	if hOld := h & (len(way.slots) - 1); !way.resizing || hOld >= way.migPtr {
+		return &way.cuckooTab, hOld
 	}
-	return &way.cuckooTab, hOld, slotPA(way.frames, hOld)
+	return &way.newTab, h & (len(way.newTab.slots) - 1)
+}
+
+// find probes the d ways for vpn's slot, returning its way, table and
+// index (tab is nil when vpn is not mapped).
+func (c *Cuckoo) find(vpn addr.VPN) (w int, tab *cuckooTab, idx int) {
+	for w := range c.ways {
+		tab, idx := c.probe(w, vpn)
+		if tab.full(idx) && tab.slots[idx].vpn() == vpn {
+			return w, tab, idx
+		}
+	}
+	return 0, nil, 0
+}
+
+// ruledOut reports whether the membership bitmap shows vpn unmapped
+// without a probe.
+func (c *Cuckoo) ruledOut(vpn addr.VPN) bool {
+	return vpn < memberSpan && !c.member.Get(uint64(vpn))
 }
 
 // Lookup implements Table.
 func (c *Cuckoo) Lookup(vpn addr.VPN) (Entry, bool) {
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			return Entry{PFN: tab.slots[idx].pfn}, true
-		}
+	if c.ruledOut(vpn) {
+		return Entry{}, false
+	}
+	if _, tab, idx := c.find(vpn); tab != nil {
+		return Entry{PFN: tab.slots[idx].pfn()}, true
 	}
 	return Entry{}, false
 }
 
-// Present implements Table: the demand-paging fast predicate. The probe
-// already tags each slot with its VPN, so presence is the same d-way
-// probe without constructing an Entry.
+// Present implements Table: the demand-paging fast predicate, one bit
+// of the membership bitmap (a d-way probe for VPNs beyond memberSpan).
 func (c *Cuckoo) Present(vpn addr.VPN) bool {
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			return true
-		}
+	if vpn < memberSpan {
+		return c.member.Get(uint64(vpn))
 	}
-	return false
+	_, tab, _ := c.find(vpn)
+	return tab != nil
 }
 
 // WalkInto implements Table: d parallel probes, one per way.
@@ -186,44 +251,50 @@ func (c *Cuckoo) WalkInto(v addr.V, w *Walk) {
 	w.Reset()
 	vpn := v.Page()
 	for way := range c.ways {
-		tab, idx, pa := c.probe(way, vpn)
-		w.Par = append(w.Par, Access{HashLevel, pa})
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
+		tab, idx := c.probe(way, vpn)
+		w.Par = append(w.Par, Access{HashLevel, slotPA(tab.frames, idx)})
+		if tab.full(idx) && tab.slots[idx].vpn() == vpn {
 			w.Found = true
-			w.Entry = Entry{PFN: tab.slots[idx].pfn}
+			w.Entry = Entry{PFN: tab.slots[idx].pfn()}
 			w.FoundIdx = way
 		}
 	}
 }
 
-// Map implements Table.
+// Map implements Table. It panics on a VPN or PFN outside the packed
+// slot's domain.
 func (c *Cuckoo) Map(vpn addr.VPN, pfn addr.PFN) {
+	if uint64(vpn)>>vpnBits|uint64(pfn)>>pfnBits != 0 {
+		panic(fmt.Sprintf("pagetable: cuckoo mapping %#x -> %#x outside the table's domain (VPN < 2^%d, PFN < 2^%d)",
+			uint64(vpn), uint64(pfn), vpnBits, pfnBits))
+	}
 	c.stats.Inserts++
 	// Update in place if present.
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			tab.slots[idx].pfn = pfn
+	if !c.ruledOut(vpn) {
+		if _, tab, idx := c.find(vpn); tab != nil {
+			tab.slots[idx] = packSlot(vpn, pfn)
 			return
 		}
 	}
+	if vpn < memberSpan {
+		c.member.Set(uint64(vpn))
+	}
 	c.advanceMigrations()
-	c.insert(vpn, pfn, 0)
+	c.insert(packSlot(vpn, pfn), 0)
 	c.count++
 	c.maybeResize()
 }
 
-// insert places (vpn,pfn) using cuckoo displacement, starting the way
-// search at startWay. attempts bounds forced-resize recursion.
-func (c *Cuckoo) insert(vpn addr.VPN, pfn addr.PFN, attempts int) {
+// insert places cur using cuckoo displacement, starting the way search
+// at the way its VPN selects. attempts bounds forced-resize recursion.
+func (c *Cuckoo) insert(cur cuckooSlot, attempts int) {
 	if attempts > 8 {
 		panic("pagetable: cuckoo insertion failed after repeated resizes")
 	}
-	cur := cuckooSlot{vpn: vpn, pfn: pfn}
-	w := int(uint64(vpn)) % len(c.ways)
+	w := int(uint64(cur.vpn())) % len(c.ways)
 	const maxKicks = 32
 	for kick := 0; kick < maxKicks; kick++ {
-		tab, idx, _ := c.probe(w, cur.vpn)
+		tab, idx := c.probe(w, cur.vpn())
 		if bitset.SetBit(tab.occ, uint64(idx)) {
 			tab.slots[idx] = cur
 			c.ways[w].count++
@@ -238,7 +309,7 @@ func (c *Cuckoo) insert(vpn addr.VPN, pfn addr.PFN, attempts int) {
 	// and retry with the still-homeless entry.
 	c.forceResize()
 	c.advanceMigrations()
-	c.insert(cur.vpn, cur.pfn, attempts+1)
+	c.insert(cur, attempts+1)
 }
 
 // MapRange implements Table.
@@ -257,25 +328,27 @@ func (c *Cuckoo) MapHuge(vpn addr.VPN, base addr.PFN) {
 
 // Unmap implements Table.
 func (c *Cuckoo) Unmap(vpn addr.VPN) (Entry, bool) {
-	for w := range c.ways {
-		tab, idx, _ := c.probe(w, vpn)
-		if tab.full(idx) && tab.slots[idx].vpn == vpn {
-			e := Entry{PFN: tab.slots[idx].pfn}
-			tab.slots[idx] = cuckooSlot{}
-			bitset.ClearBit(tab.occ, uint64(idx))
-			c.ways[w].count--
-			c.count--
-			return e, true
-		}
+	if c.ruledOut(vpn) {
+		return Entry{}, false
 	}
-	return Entry{}, false
+	w, tab, idx := c.find(vpn)
+	if tab == nil {
+		return Entry{}, false
+	}
+	e := Entry{PFN: tab.slots[idx].pfn()}
+	tab.slots[idx] = 0
+	bitset.ClearBit(tab.occ, uint64(idx))
+	c.member.Clear(uint64(vpn))
+	c.ways[w].count--
+	c.count--
+	return e, true
 }
 
 // maybeResize begins a gradual resize of any way whose load factor
 // crossed the threshold.
 func (c *Cuckoo) maybeResize() {
 	for _, way := range c.ways {
-		if !way.resizing && float64(way.count) > c.threshold*float64(len(way.slots)) {
+		if !way.resizing && way.count > way.limit {
 			c.beginResize(way)
 		}
 	}
@@ -298,9 +371,9 @@ func (c *Cuckoo) forceResize() {
 	if target == nil {
 		// Every way is already resizing; push all migrations to
 		// completion to free up space.
-		for _, way := range c.ways {
+		for w, way := range c.ways {
 			for way.resizing {
-				c.migrate(way, len(way.slots))
+				c.migrate(w, len(way.slots))
 			}
 		}
 		return
@@ -317,16 +390,16 @@ func (c *Cuckoo) beginResize(way *cuckooWay) {
 
 // advanceMigrations moves migrateStep entries per resizing way.
 func (c *Cuckoo) advanceMigrations() {
-	for _, way := range c.ways {
+	for w, way := range c.ways {
 		if way.resizing {
-			c.migrate(way, c.migrateStep)
+			c.migrate(w, c.migrateStep)
 		}
 	}
 }
 
-// migrate rehashes up to n old-table slots of way into its new table.
-func (c *Cuckoo) migrate(way *cuckooWay, n int) {
-	w := c.wayIndex(way)
+// migrate rehashes up to n old-table slots of way w into its new table.
+func (c *Cuckoo) migrate(w, n int) {
+	way := c.ways[w]
 	for i := 0; i < n && way.migPtr < len(way.slots); i++ {
 		i0 := way.migPtr
 		s := way.slots[i0]
@@ -334,12 +407,12 @@ func (c *Cuckoo) migrate(way *cuckooWay, n int) {
 		if !way.full(i0) {
 			continue
 		}
-		hNew := c.hash(w, s.vpn, len(way.newTab.slots))
+		hNew := c.hash(w, s.vpn()) & (len(way.newTab.slots) - 1)
 		if !bitset.SetBit(way.newTab.occ, uint64(hNew)) {
 			// New-slot collision: bounce the entry through the
 			// regular insertion path (it may land in another way).
 			way.count--
-			c.insert(s.vpn, s.pfn, 0)
+			c.insert(s, 0)
 		} else {
 			way.newTab.slots[hNew] = s
 		}
@@ -354,15 +427,6 @@ func (c *Cuckoo) migrate(way *cuckooWay, n int) {
 		way.newTab = cuckooTab{}
 		way.resizing = false
 	}
-}
-
-func (c *Cuckoo) wayIndex(way *cuckooWay) int {
-	for i, w := range c.ways {
-		if w == way {
-			return i
-		}
-	}
-	panic("pagetable: unknown cuckoo way")
 }
 
 // Occupancy implements Table: one pseudo-level row describing overall
@@ -388,13 +452,13 @@ func (c *Cuckoo) MappedPages() uint64 { return c.count }
 
 // MetadataBytes implements Table: the slot arrays, their occupancy
 // bitmaps, and backing-frame directories of every way (old and new
-// tables both, during gradual resizing).
+// tables both, during gradual resizing), plus the membership bitmap.
 func (c *Cuckoo) MetadataBytes() uint64 {
 	tab := func(t *cuckooTab) uint64 {
-		return uint64(len(t.slots))*uint64(unsafe.Sizeof(cuckooSlot{})) +
+		return uint64(len(t.slots))*uint64(unsafe.Sizeof(cuckooSlot(0))) +
 			uint64(len(t.occ))*8 + uint64(len(t.frames))*8
 	}
-	var total uint64
+	total := c.member.Bytes()
 	for _, way := range c.ways {
 		total += tab(&way.cuckooTab)
 		if way.resizing {

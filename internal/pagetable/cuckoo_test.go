@@ -2,6 +2,8 @@ package pagetable
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,12 +12,20 @@ import (
 	"ndpage/internal/xrand"
 )
 
+// cuckooVPNs bounds the VPNs the cuckoo tests draw: the table's domain,
+// the canonical lower half of the 48-bit virtual address space.
+const cuckooVPNs = 1 << 36
+
 func TestCuckooMapLookup(t *testing.T) {
 	c := NewCuckoo(newAlloc(), 1024)
 	if _, ok := c.Lookup(42); ok {
 		t.Fatal("empty table lookup hit")
 	}
+	before := c.MetadataBytes()
 	c.Map(42, 1000)
+	if grew := c.MetadataBytes() - before; grew < addr.PageSize {
+		t.Errorf("first Map grew MetadataBytes by %d, want at least the membership bitmap's 4 KB page", grew)
+	}
 	e, ok := c.Lookup(42)
 	if !ok || e.PFN != 1000 {
 		t.Fatalf("Lookup = %+v, %v", e, ok)
@@ -62,7 +72,7 @@ func TestCuckooManyInsertsAllRetrievable(t *testing.T) {
 	rng := xrand.New(11)
 	want := map[addr.VPN]addr.PFN{}
 	for i := 0; i < 50000; i++ {
-		vpn := addr.VPN(rng.Uint64n(1 << 40))
+		vpn := addr.VPN(rng.Uint64n(cuckooVPNs))
 		pfn := addr.PFN(i)
 		c.Map(vpn, pfn)
 		want[vpn] = pfn
@@ -85,7 +95,7 @@ func TestCuckooLoadFactorBounded(t *testing.T) {
 	c := NewCuckoo(newAlloc(), 512)
 	rng := xrand.New(13)
 	for i := 0; i < 20000; i++ {
-		c.Map(addr.VPN(rng.Uint64n(1<<40)), addr.PFN(i))
+		c.Map(addr.VPN(rng.Uint64n(cuckooVPNs)), addr.PFN(i))
 	}
 	for w, lf := range c.LoadFactors() {
 		if lf > 0.85 {
@@ -101,7 +111,7 @@ func TestCuckooResizePreservesEntriesDuringMigration(t *testing.T) {
 	// Insert enough to trigger a resize but not complete migration, then
 	// verify every key mid-migration.
 	for i := 0; i < 400; i++ {
-		vpn := addr.VPN(rng.Uint64n(1 << 40))
+		vpn := addr.VPN(rng.Uint64n(cuckooVPNs))
 		c.Map(vpn, addr.PFN(i))
 		keys = append(keys, vpn)
 		for j, k := range keys {
@@ -145,6 +155,37 @@ func TestOutOfMemoryPanicsWithSentinel(t *testing.T) {
 			}()
 			build()
 		}()
+	}
+}
+
+// TestCuckooRejectsOutOfDomainVPN: a packed slot holds a 36-bit VPN and
+// a 28-bit PFN, so anything wider must panic instead of aliasing
+// another page's slot.
+func TestCuckooRejectsOutOfDomainVPN(t *testing.T) {
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one containing %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	c := NewCuckoo(newAlloc(), 1024)
+	mustPanic("VPN 2^36", "outside the table's domain", func() { c.Map(cuckooVPNs, 1) })
+	mustPanic("PFN 2^28", "outside the table's domain", func() { c.Map(1, 1<<28) })
+	mustPanic("range crossing 2^36", "outside the table's domain", func() { c.MapRange(cuckooVPNs-2, 4, 1) })
+	mustPanic("allocator over 2^28 frames", "at most 2^28 frames", func() {
+		NewCuckoo(phys.New(1<<40+addr.HugePageSize), 1024)
+	})
+	// The largest in-domain mapping still round-trips.
+	c = NewCuckoo(newAlloc(), 1024)
+	c.Map(cuckooVPNs-1, 1<<28-1)
+	if e, ok := c.Lookup(cuckooVPNs - 1); !ok || e.PFN != 1<<28-1 {
+		t.Errorf("Lookup(2^36-1) = %+v, %v; want PFN 2^28-1", e, ok)
+	}
+	if !c.Present(cuckooVPNs-1) || c.Present(cuckooVPNs-2) {
+		t.Error("Present disagrees at the top of the domain")
 	}
 }
 

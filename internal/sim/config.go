@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"ndpage/internal/addr"
 	"ndpage/internal/core"
+	"ndpage/internal/pagetable"
 	"ndpage/internal/workload"
 )
 
@@ -81,6 +83,12 @@ func (c Config) Validate() error {
 	if n.FetchEvery < 1 {
 		return fmt.Errorf("sim: FetchEvery %d must be positive", n.FetchEvery)
 	}
+	if n.MemoryBytes%addr.HugePageSize != 0 {
+		return fmt.Errorf("sim: MemoryBytes %d is not a positive multiple of 2 MB", n.MemoryBytes)
+	}
+	if n.Mechanism == core.ECH && n.MemoryBytes/addr.PageSize > pagetable.CuckooMaxFrames {
+		return fmt.Errorf("sim: MemoryBytes %d exceeds the 1 TB the ECH cuckoo table can address", n.MemoryBytes)
+	}
 	if n.HBMChannels < 0 || (n.HBMChannels > 0 && n.HBMChannels&(n.HBMChannels-1) != 0) {
 		return fmt.Errorf("sim: HBMChannels %d must be 0 (default) or a power of two", n.HBMChannels)
 	}
@@ -112,6 +120,10 @@ func (c Config) Validate() error {
 		if n.PCXEntries < 4 || n.PCXEntries%4 != 0 || sets&(sets-1) != 0 {
 			return fmt.Errorf("sim: PCXEntries %d must be 4 ways times a power-of-two set count", n.PCXEntries)
 		}
+	}
+	if n.ECHWayPrediction && n.Mechanism != core.ECH {
+		return fmt.Errorf("sim: ECHWayPrediction is inert under Mechanism %s (only ECH probes cuckoo ways)",
+			n.Mechanism)
 	}
 	if n.IdentityPromote && n.Mechanism != core.NMT {
 		return fmt.Errorf("sim: IdentityPromote is inert under Mechanism %s (only NMT keeps identity segments)",

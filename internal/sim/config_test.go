@@ -55,6 +55,12 @@ func TestValidate(t *testing.T) {
 		{"inert pcx entries", func(c *Config) { c.PCXEntries = 512 }, "inert"},
 		{"pcax bad geometry", func(c *Config) { c.Mechanism = core.PCAX; c.PCXEntries = 100 }, "power-of-two"},
 		{"pcax negative entries", func(c *Config) { c.Mechanism = core.PCAX; c.PCXEntries = -4 }, "power-of-two"},
+		{"memory not a 2 MB multiple", func(c *Config) { c.MemoryBytes = 3 << 20 }, "multiple of 2 MB"},
+		{"memory below 2 MB", func(c *Config) { c.MemoryBytes = 1000 }, "multiple of 2 MB"},
+		{"ech memory over 1 TB", func(c *Config) { c.Mechanism = core.ECH; c.MemoryBytes = 1<<40 + 2<<20 }, "1 TB"},
+		{"radix memory over 1 TB", func(c *Config) { c.MemoryBytes = 1<<40 + 2<<20; c.FootprintBytes = 64 << 20 }, ""},
+		{"ech way prediction", func(c *Config) { c.Mechanism = core.ECH; c.ECHWayPrediction = true }, ""},
+		{"inert ech way prediction", func(c *Config) { c.ECHWayPrediction = true }, "inert"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
