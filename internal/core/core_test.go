@@ -14,18 +14,27 @@ import (
 func newNDPHierarchy(mech Mechanism, cores int) *memsys.Hierarchy {
 	cfg := memsys.Default(memsys.NDP, cores)
 	cfg.BypassL1PTE = mech.BypassL1PTE()
+	if mech == Victima {
+		cfg.VictimaGate = 2 // sim.Config's default gate
+	}
 	return memsys.New(cfg)
 }
 
-// rig builds one core's MMU over a freshly mapped 64 MB region.
-func rig(t *testing.T, mech Mechanism) (*MMU, addr.V) {
+// rig builds one core's MMU over a freshly mapped 64 MB region. Under
+// NMT the address space identity-maps its eagerly populated chunks and
+// serves as the MMU's IdentityMapper, as sim.New wires it.
+func rig(t *testing.T, mech Mechanism, opts Options) (*MMU, addr.V) {
 	t.Helper()
 	alloc := phys.New(1 << 30)
 	table := mech.NewTable(alloc)
-	as := osmm.New(table, alloc, osmm.DefaultConfig(mech.Policy(), alloc.TotalFrames()))
+	oscfg := osmm.DefaultConfig(mech.Policy(), alloc.TotalFrames())
+	oscfg.IdentityMap = mech == NMT
+	as := osmm.New(table, alloc, oscfg)
 	base := as.Alloc(64<<20, "data")
-	mem := newNDPHierarchy(mech, 1)
-	return NewMMU(mech, 0, table, mem), base
+	if mech == NMT {
+		opts.Identity = as
+	}
+	return NewMMU(mech, 0, table, newNDPHierarchy(mech, 1), opts), base
 }
 
 func TestMechanismStringAndParse(t *testing.T) {
@@ -76,7 +85,7 @@ func TestMechanismProperties(t *testing.T) {
 
 func TestTranslateCorrectness(t *testing.T) {
 	for _, mech := range Mechanisms {
-		mmu, base := rig(t, mech)
+		mmu, base := rig(t, mech, Options{})
 		// Consecutive bytes in one page translate contiguously.
 		pa1, _ := mmu.Translate(0, base+100, access.Read)
 		pa2, _ := mmu.Translate(1000, base+101, access.Read)
@@ -92,18 +101,18 @@ func TestTranslateCorrectness(t *testing.T) {
 }
 
 func TestIdealIsFree(t *testing.T) {
-	mmu, base := rig(t, Ideal)
+	mmu, base := rig(t, Ideal, Options{})
 	_, done := mmu.Translate(12345, base, access.Read)
 	if done != 12345 {
 		t.Fatalf("Ideal translation took %d cycles", done-12345)
 	}
-	if mmu.Stats().PTEAccesses != 0 || mmu.Stats().Walks != 0 {
+	if mmu.Walker().Stats().PTEAccesses != 0 || mmu.Walker().Stats().Walks != 0 {
 		t.Error("Ideal issued PTE traffic")
 	}
 }
 
 func TestTLBHitFastPath(t *testing.T) {
-	mmu, base := rig(t, Radix)
+	mmu, base := rig(t, Radix, Options{})
 	_, t1 := mmu.Translate(0, base, access.Read) // cold: full walk
 	cold := t1
 	start := t1 + 100
@@ -118,7 +127,7 @@ func TestTLBHitFastPath(t *testing.T) {
 }
 
 func TestL2TLBPath(t *testing.T) {
-	mmu, base := rig(t, Radix)
+	mmu, base := rig(t, Radix, Options{})
 	mmu.Translate(0, base, access.Read)
 	// Flood the tiny L1 DTLB with other pages; base stays in the 1536-
 	// entry L2 TLB.
@@ -139,52 +148,52 @@ func TestWalkDepthPerMechanism(t *testing.T) {
 	// Radix 4, NDPage 3, ECH 3 (parallel), HugePage 3 (2MB leaf at PL2).
 	want := map[Mechanism]uint64{Radix: 4, NDPage: 3, ECH: 3, HugePage: 3}
 	for mech, n := range want {
-		mmu, base := rig(t, mech)
+		mmu, base := rig(t, mech, Options{})
 		mmu.Translate(0, base, access.Read)
-		if got := mmu.Stats().PTEAccesses.Value(); got != n {
+		if got := mmu.Walker().Stats().PTEAccesses.Value(); got != n {
 			t.Errorf("%v: first walk issued %d PTE accesses, want %d", mech, got, n)
 		}
 	}
 }
 
 func TestPWCShortensSecondWalk(t *testing.T) {
-	mmu, base := rig(t, Radix)
+	mmu, base := rig(t, Radix, Options{})
 	mmu.Translate(0, base, access.Read) // fills PL4/PL3/PL2 PWC entries
-	before := mmu.Stats().PTEAccesses.Value()
+	before := mmu.Walker().Stats().PTEAccesses.Value()
 	// Different page, same 2 MB region: PL2 PWC hit -> only the PL1
 	// PTE is read.
 	mmu.Translate(100000, base+7*addr.PageSize, access.Read)
-	if got := mmu.Stats().PTEAccesses.Value() - before; got != 1 {
+	if got := mmu.Walker().Stats().PTEAccesses.Value() - before; got != 1 {
 		t.Errorf("PWC-assisted walk issued %d accesses, want 1", got)
 	}
 }
 
 func TestNDPageWalkIsSingleAccessAfterPWC(t *testing.T) {
-	mmu, base := rig(t, NDPage)
+	mmu, base := rig(t, NDPage, Options{})
 	mmu.Translate(0, base, access.Read)
-	before := mmu.Stats().PTEAccesses.Value()
+	before := mmu.Walker().Stats().PTEAccesses.Value()
 	// Page in a *different 2 MB region* of the same GB: radix would need
 	// 2 accesses (PL2 PWC tags don't reach); NDPage needs 1 flattened
 	// access after its PL3 PWC hit.
 	mmu.Translate(100000, base+3*addr.HugePageSize, access.Read)
-	if got := mmu.Stats().PTEAccesses.Value() - before; got != 1 {
+	if got := mmu.Walker().Stats().PTEAccesses.Value() - before; got != 1 {
 		t.Errorf("NDPage cross-region walk = %d accesses, want 1", got)
 	}
 	// The same scenario under Radix costs 2 accesses.
-	rmmu, rbase := rig(t, Radix)
+	rmmu, rbase := rig(t, Radix, Options{})
 	rmmu.Translate(0, rbase, access.Read)
-	before = rmmu.Stats().PTEAccesses.Value()
+	before = rmmu.Walker().Stats().PTEAccesses.Value()
 	rmmu.Translate(100000, rbase+3*addr.HugePageSize, access.Read)
-	if got := rmmu.Stats().PTEAccesses.Value() - before; got != 2 {
+	if got := rmmu.Walker().Stats().PTEAccesses.Value() - before; got != 2 {
 		t.Errorf("Radix cross-region walk = %d accesses, want 2", got)
 	}
 }
 
 func TestECHWalkLatencyIsMaxNotSum(t *testing.T) {
-	mmu, base := rig(t, ECH)
+	mmu, base := rig(t, ECH, Options{})
 	start := uint64(0)
 	_, end := mmu.Translate(start, base, access.Read)
-	walk := mmu.Stats().WalkCycles.Value()
+	walk := mmu.Walker().Stats().WalkCycles.Value()
 	// Three parallel HBM accesses from idle banks complete in roughly
 	// one access time (plus possible bus serialization), far less than
 	// 3x. One access ~ 4+110+4+4 = 122.
@@ -202,7 +211,7 @@ func TestNDPageBypassKeepsPTEsOutOfL1(t *testing.T) {
 	as := osmm.New(table, alloc, osmm.DefaultConfig(osmm.Base4K, alloc.TotalFrames()))
 	base := as.Alloc(64<<20, "data")
 	mem := newNDPHierarchy(NDPage, 1)
-	mmu := NewMMU(NDPage, 0, table, mem)
+	mmu := NewMMU(NDPage, 0, table, mem, Options{})
 	tNow := uint64(0)
 	for i := 0; i < 200; i++ {
 		_, tNow = mmu.Translate(tNow, base+addr.V(i*addr.PageSize*3), access.Read)
@@ -217,7 +226,7 @@ func TestNDPageBypassKeepsPTEsOutOfL1(t *testing.T) {
 }
 
 func TestRadixPTEsDoEnterL1(t *testing.T) {
-	mmu, base := rig(t, Radix)
+	mmu, base := rig(t, Radix, Options{})
 	tNow := uint64(0)
 	for i := 0; i < 50; i++ {
 		_, tNow = mmu.Translate(tNow, base+addr.V(i*addr.PageSize*3), access.Read)
@@ -225,14 +234,13 @@ func TestRadixPTEsDoEnterL1(t *testing.T) {
 	// Baseline: PTE lookups hit the L1 cache path (pollution).
 	// Access the hierarchy through the MMU's walks only.
 	// The L1 must have seen PTE-class traffic.
-	stats := mmu.Stats()
-	if stats.PTEAccesses.Value() == 0 {
+	if mmu.Walker().Stats().PTEAccesses.Value() == 0 {
 		t.Fatal("no walks happened")
 	}
 }
 
 func TestHugePageTLBReach(t *testing.T) {
-	mmu, base := rig(t, HugePage)
+	mmu, base := rig(t, HugePage, Options{})
 	// Touch every page of a 2 MB chunk: a single TLB entry serves all.
 	tNow := uint64(0)
 	for i := 0; i < 512; i++ {
@@ -242,13 +250,13 @@ func TestHugePageTLBReach(t *testing.T) {
 	if s.Misses.Value() != 1 {
 		t.Errorf("huge-page sweep: %d DTLB misses, want 1", s.Misses.Value())
 	}
-	if mmu.Stats().Walks.Value() != 1 {
-		t.Errorf("huge-page sweep: %d walks, want 1", mmu.Stats().Walks.Value())
+	if mmu.Walker().Stats().Walks.Value() != 1 {
+		t.Errorf("huge-page sweep: %d walks, want 1", mmu.Walker().Stats().Walks.Value())
 	}
 }
 
 func TestTranslateCodePopulatesITLB(t *testing.T) {
-	mmu, base := rig(t, Radix)
+	mmu, base := rig(t, Radix, Options{})
 	pa := mmu.TranslateCode(base)
 	if pa2 := mmu.TranslateCode(base + 4); pa2 != pa+4 {
 		t.Error("code translation not contiguous")
@@ -259,7 +267,7 @@ func TestTranslateCodePopulatesITLB(t *testing.T) {
 }
 
 func TestUnmappedPanics(t *testing.T) {
-	mmu, _ := rig(t, Radix)
+	mmu, _ := rig(t, Radix, Options{})
 	defer func() {
 		if recover() == nil {
 			t.Error("unmapped translation did not panic")
@@ -269,11 +277,10 @@ func TestUnmappedPanics(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	mmu, base := rig(t, Radix)
+	mmu, base := rig(t, Radix, Options{})
 	mmu.Translate(0, base, access.Read)
 	mmu.ResetStats()
-	s := mmu.Stats()
-	if s.Walks != 0 || s.TranslationCycles != 0 {
+	if mmu.Stats().Translations != 0 || mmu.Walker().Stats().Walks != 0 {
 		t.Error("MMU stats not reset")
 	}
 	if mmu.DTLB().Stats().Total() != 0 {
@@ -281,18 +288,18 @@ func TestResetStats(t *testing.T) {
 	}
 	// Contents preserved: next translate is a TLB hit, not a walk.
 	mmu.Translate(1000, base, access.Read)
-	if s.Walks != 0 {
-		t.Error("TLB contents were lost by ResetStats")
+	if got := mmu.Walker().Stats().Walks.Value(); got != 0 {
+		t.Errorf("TLB contents were lost by ResetStats: %d walks after reset", got)
 	}
 }
 
 func TestMeanWalkLatency(t *testing.T) {
-	mmu, base := rig(t, Radix)
+	mmu, base := rig(t, Radix, Options{})
 	mmu.Translate(0, base, access.Read)
-	if mmu.Stats().MeanWalkLatency() <= 0 {
+	if mmu.Walker().Stats().MeanWalkLatency() <= 0 {
 		t.Error("MeanWalkLatency not recorded")
 	}
-	if mmu.Stats().MaxWalkCycles < uint64(mmu.Stats().MeanWalkLatency()) {
+	if mmu.Walker().Stats().MaxWalkCycles < uint64(mmu.Walker().Stats().MeanWalkLatency()) {
 		t.Error("max walk < mean walk")
 	}
 }
@@ -303,8 +310,8 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 	as := osmm.New(table, alloc, osmm.DefaultConfig(osmm.Base4K, alloc.TotalFrames()))
 	base := as.Alloc(64<<20, "data")
 	mem := newNDPHierarchy(ECH, 1)
-	plain := NewMMU(ECH, 0, table, mem)
-	predicted := NewMMUWithOptions(ECH, 0, table, memsys.New(memsys.Default(memsys.NDP, 1)),
+	plain := NewMMU(ECH, 0, table, mem, Options{})
+	predicted := NewMMU(ECH, 0, table, memsys.New(memsys.Default(memsys.NDP, 1)),
 		Options{ECHWayPrediction: true})
 
 	// Walk the same 32KB region repeatedly: the CWC learns the way.
@@ -331,13 +338,13 @@ func TestECHWayPredictionReducesProbes(t *testing.T) {
 		plain.Translate(tp, v, access.Read)
 		predicted.Translate(tq, v, access.Read)
 	}
-	plainProbes := plain.Stats().PTEAccesses.Value()
-	predProbes := predicted.Stats().PTEAccesses.Value()
+	plainProbes := plain.Walker().Stats().PTEAccesses.Value()
+	predProbes := predicted.Walker().Stats().PTEAccesses.Value()
 	if predProbes >= plainProbes {
 		t.Errorf("way prediction did not reduce probes: %d vs %d", predProbes, plainProbes)
 	}
 	// Sanity: prediction must not fall below 1 probe per walk.
-	if predProbes < predicted.Stats().Walks.Value() {
-		t.Errorf("fewer probes (%d) than walks (%d)", predProbes, predicted.Stats().Walks.Value())
+	if predProbes < predicted.Walker().Stats().Walks.Value() {
+		t.Errorf("fewer probes (%d) than walks (%d)", predProbes, predicted.Walker().Stats().Walks.Value())
 	}
 }

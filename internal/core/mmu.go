@@ -13,28 +13,17 @@ import (
 	"ndpage/internal/walker"
 )
 
-// Stats aggregates one MMU's translation activity. The walk counters
-// mirror the MMU's walker (cluster-wide when the walker is shared); they
-// are refreshed on every Stats call.
+// Stats aggregates one MMU's translation front-end activity. Walk
+// counters live on the walker (MMU.Walker().Stats()), cluster-wide when
+// the walker is shared.
 type Stats struct {
-	Translations      stats.Counter
-	TranslationCycles stats.Counter
-	Walks             stats.Counter
-	WalkCycles        stats.Counter
-	MaxWalkCycles     uint64
-	PTEAccesses       stats.Counter // PTE memory requests actually issued
+	Translations stats.Counter
 	// IdentityHits and IdentityMisses count the NMT identity-segment
 	// range check: hits resolve at identityCheckLat with no TLB or walk
 	// activity; misses fall through to the conventional path. Zero
 	// unless Options.Identity was set.
 	IdentityHits   stats.Counter
 	IdentityMisses stats.Counter
-}
-
-// MeanWalkLatency returns the average page-table-walk latency in cycles
-// (Figure 4's metric).
-func (s *Stats) MeanWalkLatency() float64 {
-	return stats.Ratio(s.WalkCycles.Value(), s.Walks.Value())
 }
 
 // IdentityMapper is the OS-side contract for the NMT mechanism (Picorel
@@ -125,14 +114,12 @@ type TranslationClient interface {
 }
 
 // xlatReq is one in-flight asynchronous translation: the context the
-// MMU needs to fill its TLBs and account latency when the walk's
-// completion event fires. Records are pooled on the MMU's free list and
-// registered with the walker as Waiters, so a miss allocates nothing.
+// MMU needs to fill its TLBs when the walk's completion event fires.
+// Records are pooled on the MMU's free list and registered with the
+// walker as Waiters, so a miss allocates nothing.
 type xlatReq struct {
 	m      *MMU
-	vpn    addr.VPN
 	v      addr.V
-	now    uint64
 	pc     uint64
 	client TranslationClient
 	next   *xlatReq
@@ -140,35 +127,24 @@ type xlatReq struct {
 
 var _ walker.Waiter = (*xlatReq)(nil)
 
-// OnWalkDone implements walker.Waiter: fill the TLBs, account the
-// translation latency, recycle the record, and hand the result to the
-// client.
+// OnWalkDone implements walker.Waiter: fill the TLBs, recycle the
+// record, and hand the result to the client.
 func (r *xlatReq) OnWalkDone(resp walker.Response) {
 	m := r.m
-	if !resp.Found {
-		panic(unmapped(r.v))
-	}
-	te := tlb.Entry{PFN: resp.Entry.PFN, Huge: resp.Entry.Huge}
-	m.dtlb.Insert(r.vpn, te)
-	m.stlb.Insert(r.vpn, te)
-	if m.pcx != nil && r.pc != 0 {
-		m.pcx.Insert(r.pc, r.vpn, te)
-	}
-	m.stats.TranslationCycles.Add(resp.Done - r.now)
-	client, pa := r.client, physical(resp.Entry, r.v)
+	client, pa := r.client, m.fill(r.v, r.pc, resp)
 	m.putXlat(r)
 	client.OnTranslated(pa, resp.Done)
 }
 
 // getXlat takes a pooled translation record (or grows the pool).
-func (m *MMU) getXlat(vpn addr.VPN, v addr.V, now uint64, pc uint64, client TranslationClient) *xlatReq {
+func (m *MMU) getXlat(v addr.V, pc uint64, client TranslationClient) *xlatReq {
 	r := m.xlatFree
 	if r == nil {
 		r = &xlatReq{m: m}
 	} else {
 		m.xlatFree = r.next
 	}
-	r.vpn, r.v, r.now, r.pc, r.client, r.next = vpn, v, now, pc, client, nil
+	r.v, r.pc, r.client, r.next = v, pc, client, nil
 	return r
 }
 
@@ -207,13 +183,9 @@ type Options struct {
 }
 
 // NewMMU assembles the MMU for mech on core coreID. The TLB geometry is
-// Table I's; the PWC geometry follows the mechanism.
-func NewMMU(mech Mechanism, coreID int, table pagetable.Table, mem *memsys.Hierarchy) *MMU {
-	return NewMMUWithOptions(mech, coreID, table, mem, Options{})
-}
-
-// NewMMUWithOptions is NewMMU with sensitivity knobs.
-func NewMMUWithOptions(mech Mechanism, coreID int, table pagetable.Table, mem *memsys.Hierarchy, opts Options) *MMU {
+// Table I's; the PWC geometry follows the mechanism; opts holds the
+// sensitivity knobs (the zero Options is the paper configuration).
+func NewMMU(mech Mechanism, coreID int, table pagetable.Table, mem *memsys.Hierarchy, opts Options) *MMU {
 	m := &MMU{
 		mech:   mech,
 		coreID: coreID,
@@ -242,16 +214,8 @@ func NewMMUWithOptions(mech Mechanism, coreID int, table pagetable.Table, mem *m
 // Mechanism returns the translation mechanism this MMU implements.
 func (m *MMU) Mechanism() Mechanism { return m.mech }
 
-// Stats returns the live translation counters, with the walk counters
-// refreshed from the walker.
-func (m *MMU) Stats() *Stats {
-	ws := m.unit.Walker.Stats()
-	m.stats.Walks = stats.Counter(ws.Walks)
-	m.stats.WalkCycles = stats.Counter(ws.WalkCycles)
-	m.stats.MaxWalkCycles = ws.MaxWalkCycles
-	m.stats.PTEAccesses = stats.Counter(ws.PTEAccesses)
-	return &m.stats
-}
+// Stats returns the live front-end counters.
+func (m *MMU) Stats() *Stats { return &m.stats }
 
 // Walker returns the hardware page-table walker serving this MMU's
 // misses (shared across MMUs when Options.SharedUnit was used).
@@ -301,8 +265,21 @@ func (m *MMU) Translate(now uint64, v addr.V, op access.Op) (addr.P, uint64) {
 
 // TranslatePC is Translate with the PC of the issuing instruction (zero
 // when unknown). The PC feeds the PCAX table; every other mechanism
-// ignores it.
+// ignores it. A TLB miss walks synchronously (the blocking core model).
 func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P, uint64) {
+	pa, t, hit := m.lookup(now, v, pc)
+	if hit {
+		return pa, t
+	}
+	resp := m.unit.Walker.Walk(walker.Request{Core: m.coreID, V: v, Time: t})
+	return m.fill(v, pc, resp), resp.Done
+}
+
+// lookup is the translation front-end both core models share: Ideal,
+// the NMT identity check, the L1 DTLB, the PCAX table, the L2 TLB. On a
+// hit it returns the physical address and the completion time; on a
+// miss hit is false and t is the time the miss reaches the walker.
+func (m *MMU) lookup(now uint64, v addr.V, pc uint64) (pa addr.P, t uint64, hit bool) {
 	m.stats.Translations.Inc()
 	if m.mech == Ideal {
 		// Every request hits an L1 TLB of zero latency (Section VI).
@@ -310,46 +287,48 @@ func (m *MMU) TranslatePC(now uint64, v addr.V, op access.Op, pc uint64) (addr.P
 		if !ok {
 			panic(unmapped(v))
 		}
-		return physical(e, v), now
+		return physical(e, v), now, true
 	}
 	if m.identity != nil {
 		if pa, ok := m.identityTranslate(v); ok {
-			m.stats.TranslationCycles.Add(identityCheckLat)
-			return pa, now + identityCheckLat
+			return pa, now + identityCheckLat, true
 		}
 	}
 	vpn := v.Page()
-	t := now + m.dtlbLat
+	t = now + m.dtlbLat
 	if e, ok := m.dtlb.Lookup(vpn); ok {
-		m.stats.TranslationCycles.Add(t - now)
-		return physical(pagetable.Entry(e), v), t
+		return physical(pagetable.Entry(e), v), t, true
 	}
 	if m.pcx != nil && pc != 0 {
 		t += m.pcxLat
 		if e, ok := m.pcx.Lookup(pc, vpn); ok {
 			m.dtlb.Insert(vpn, e)
-			m.stats.TranslationCycles.Add(t - now)
-			return physical(pagetable.Entry(e), v), t
+			return physical(pagetable.Entry(e), v), t, true
 		}
 	}
 	t += m.stlbLat
 	if e, ok := m.stlb.Lookup(vpn); ok {
 		m.dtlb.Insert(vpn, e)
-		m.stats.TranslationCycles.Add(t - now)
-		return physical(pagetable.Entry(e), v), t
+		return physical(pagetable.Entry(e), v), t, true
 	}
-	resp := m.unit.Walker.Walk(walker.Request{Core: m.coreID, V: v, Time: t})
+	return 0, t, false
+}
+
+// fill completes a walk for v: the leaf entry enters both data-side
+// TLBs (and the PCAX table under the issuing PC), and the physical
+// address is returned.
+func (m *MMU) fill(v addr.V, pc uint64, resp walker.Response) addr.P {
 	if !resp.Found {
 		panic(unmapped(v))
 	}
+	vpn := v.Page()
 	te := tlb.Entry{PFN: resp.Entry.PFN, Huge: resp.Entry.Huge}
 	m.dtlb.Insert(vpn, te)
 	m.stlb.Insert(vpn, te)
 	if m.pcx != nil && pc != 0 {
 		m.pcx.Insert(pc, vpn, te)
 	}
-	m.stats.TranslationCycles.Add(resp.Done - now)
-	return physical(resp.Entry, v), resp.Done
+	return physical(resp.Entry, v)
 }
 
 // identityTranslate runs the NMT range check: a covered address still
@@ -370,62 +349,24 @@ func (m *MMU) identityTranslate(v addr.V) (addr.P, bool) {
 
 // TranslateAsync resolves v as a request/completion pair on the event
 // schedule: client.OnTranslated is invoked exactly once with the
-// physical address and the absolute completion time. It is layered over
-// the same TLB and walk machinery as Translate — TLB hits resolve
-// inline (their few-cycle latency is known immediately), while misses
-// go through the walk unit's event-scheduled path, so concurrent
-// translations contend for real walk slots, coalesce in the MSHRs, and
-// fill the TLBs only when their walk's completion event fires. The miss
-// context rides a pooled record registered with the walker, so the path
-// allocates nothing in steady state. Used by the non-blocking core
-// model (sim.Config.MLP > 1); the blocking model keeps Translate.
-func (m *MMU) TranslateAsync(s walker.Scheduler, now uint64, v addr.V, op access.Op, client TranslationClient) {
-	m.TranslateAsyncPC(s, now, v, op, 0, client)
-}
-
-// TranslateAsyncPC is TranslateAsync with the PC of the issuing
-// instruction (zero when unknown); see TranslatePC.
-func (m *MMU) TranslateAsyncPC(s walker.Scheduler, now uint64, v addr.V, op access.Op, pc uint64, client TranslationClient) {
-	m.stats.Translations.Inc()
-	if m.mech == Ideal {
-		e, ok := m.table.Lookup(v.Page())
-		if !ok {
-			panic(unmapped(v))
-		}
-		client.OnTranslated(physical(e, v), now)
+// physical address and the absolute completion time. It runs the same
+// front-end (lookup) and walk-completion fill (fill) as TranslatePC —
+// hits resolve inline (their few-cycle latency is known immediately),
+// while misses go through the walk unit's event-scheduled path, so
+// concurrent translations contend for real walk slots, coalesce in the
+// MSHRs, and fill the TLBs only when their walk's completion event
+// fires. pc is the issuing instruction's PC (zero when unknown), as in
+// TranslatePC. The miss context rides a pooled record registered with
+// the walker, so the path allocates nothing in steady state. Used by
+// the non-blocking core model (sim.Config.MLP > 1); the blocking model
+// keeps TranslatePC.
+func (m *MMU) TranslateAsync(s walker.Scheduler, now uint64, v addr.V, op access.Op, pc uint64, client TranslationClient) {
+	pa, t, hit := m.lookup(now, v, pc)
+	if hit {
+		client.OnTranslated(pa, t)
 		return
 	}
-	if m.identity != nil {
-		if pa, ok := m.identityTranslate(v); ok {
-			m.stats.TranslationCycles.Add(identityCheckLat)
-			client.OnTranslated(pa, now+identityCheckLat)
-			return
-		}
-	}
-	vpn := v.Page()
-	t := now + m.dtlbLat
-	if e, ok := m.dtlb.Lookup(vpn); ok {
-		m.stats.TranslationCycles.Add(t - now)
-		client.OnTranslated(physical(pagetable.Entry(e), v), t)
-		return
-	}
-	if m.pcx != nil && pc != 0 {
-		t += m.pcxLat
-		if e, ok := m.pcx.Lookup(pc, vpn); ok {
-			m.dtlb.Insert(vpn, e)
-			m.stats.TranslationCycles.Add(t - now)
-			client.OnTranslated(physical(pagetable.Entry(e), v), t)
-			return
-		}
-	}
-	t += m.stlbLat
-	if e, ok := m.stlb.Lookup(vpn); ok {
-		m.dtlb.Insert(vpn, e)
-		m.stats.TranslationCycles.Add(t - now)
-		client.OnTranslated(physical(pagetable.Entry(e), v), t)
-		return
-	}
-	m.unit.Walker.WalkAsync(s, walker.Request{Core: m.coreID, V: v, Time: t}, m.getXlat(vpn, v, now, pc, client))
+	m.unit.Walker.WalkAsync(s, walker.Request{Core: m.coreID, V: v, Time: t}, m.getXlat(v, pc, client))
 }
 
 // TranslateCode resolves an instruction-fetch address. Fetch translation

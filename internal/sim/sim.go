@@ -21,6 +21,13 @@
 //     each op. The front-end stalls only on faults, compute bursts, and
 //     a full window.
 //
+// Both models translate through the same MMU front-end and walk
+// completion (core.MMU.TranslatePC blocks on the walk;
+// core.MMU.TranslateAsync(s, now, v, op, pc, client) completes through
+// the engine), and share the fetch cadence (simCore.nextFetch), the
+// load/store classification (simCore.countMemOp) and the demand-fault
+// charge (Machine.fault).
+//
 // One simulation = one machine (CPU or NDP, Table I), one translation
 // mechanism, one multithreaded workload sharing an address space across
 // cores (the paper's methodology: 500M instructions per core; this
@@ -278,7 +285,7 @@ func New(cfg Config) (m *Machine, err error) {
 			id:       i,
 			m:        m,
 			gen:      w.Thread(i, cfg.Seed*1_000_003+uint64(i)),
-			mmu:      core.NewMMUWithOptions(cfg.Mechanism, i, table, hier, opts),
+			mmu:      core.NewMMU(cfg.Mechanism, i, table, hier, opts),
 			codeBase: space.Alloc(codeBytes, fmt.Sprintf("code.%d", i)),
 		}
 		m.cores = append(m.cores, c)
@@ -317,64 +324,25 @@ func (m *Machine) Allocator() *phys.Allocator { return m.alloc }
 // MMU returns core i's MMU (tests and tools).
 func (m *Machine) MMU(i int) *core.MMU { return m.cores[i].mmu }
 
-// step executes one op on core c to completion: the blocking core model
-// (Config.MLP = 1). The whole op — fetch, faults, translation, data
-// access — runs inside the current event, and the caller schedules the
-// core's next event at the updated clock, which reproduces the
-// pre-engine min-clock step loop bit for bit. Kept as the one-op
-// reference semantics behind stepEvent's compute-run fusion (and used
-// directly by tests).
-func (m *Machine) step(c *simCore) {
-	c.gen.Next(&c.op)
-	c.instructions++
-	switch c.op.Kind {
-	case workload.Compute:
-		c.clock += uint64(c.op.Cycles)
-		c.computeCycles += uint64(c.op.Cycles)
-		return
-	case workload.Load, workload.Store:
-	default:
-		panic(fmt.Sprintf("sim: unknown op kind %d", c.op.Kind))
-	}
-	m.stepMem(c)
-}
-
-// stepMem executes the memory op already decoded into c.op: fetch
-// bookkeeping, demand faults, translation, and the data access.
+// stepMem executes the memory op already decoded into c.op to
+// completion: the blocking core model (Config.MLP = 1). Fetch
+// bookkeeping, demand faults, translation, and the data access all run
+// inside the current event.
 func (m *Machine) stepMem(c *simCore) {
-	// Instruction fetch: every FetchEvery-th op walks the code region
-	// through the ITLB/L1I (overlapped with the pipeline: structure
-	// activity, no cycle charge).
-	c.fetchCnt++
-	if c.fetchCnt >= m.cfg.FetchEvery {
-		c.fetchCnt = 0
-		va := c.codeBase + addr.V(c.codePos)
-		c.codePos = (c.codePos + addr.LineSize) % codeBytes
-		if cost := m.space.Touch(va); cost > 0 {
-			c.clock += cost
-			c.faultCycles += cost
-		}
+	// Instruction fetch through the ITLB/L1I (overlapped with the
+	// pipeline: structure activity, no cycle charge).
+	if va, due := c.nextFetch(); due {
+		m.fault(c, va)
 		pa := c.mmu.TranslateCode(va)
 		m.hier.Access(c.id, c.clock, pa, access.Read, access.Code)
 	}
 
-	v := c.op.Addr
-	op := access.Read
-	if c.op.Kind == workload.Store {
-		op = access.Write
-		c.stores++
-	} else {
-		c.loads++
-	}
-
+	op := c.countMemOp()
 	// OS demand paging resolves before the hardware retry of the access.
-	if cost := m.space.Touch(v); cost > 0 {
-		c.clock += cost
-		c.faultCycles += cost
-	}
+	m.fault(c, c.op.Addr)
 
 	// Address translation (the op's PC feeds PCAX; others ignore it).
-	pa, tEnd := c.mmu.TranslatePC(c.clock, v, op, c.op.PC)
+	pa, tEnd := c.mmu.TranslatePC(c.clock, c.op.Addr, op, c.op.PC)
 	c.translationCycles += tEnd - c.clock
 	c.clock = tEnd
 
@@ -382,6 +350,44 @@ func (m *Machine) stepMem(c *simCore) {
 	done := m.hier.Access(c.id, c.clock, pa, op, access.Data)
 	c.dataCycles += done - c.clock
 	c.clock = done
+}
+
+// nextFetch advances the core's fetch cadence, shared by both core
+// models: every FetchEvery-th memory op fetches the next line of the
+// code loop. due reports whether this op fetches, and va is the line.
+func (c *simCore) nextFetch() (va addr.V, due bool) {
+	c.fetchCnt++
+	if c.fetchCnt < c.m.cfg.FetchEvery {
+		return 0, false
+	}
+	c.fetchCnt = 0
+	va = c.codeBase + addr.V(c.codePos)
+	c.codePos = (c.codePos + addr.LineSize) % codeBytes
+	return va, true
+}
+
+// countMemOp counts the memory op in c.op as a load or a store and
+// returns its access kind.
+func (c *simCore) countMemOp() access.Op {
+	if c.op.Kind == workload.Store {
+		c.stores++
+		return access.Write
+	}
+	c.loads++
+	return access.Read
+}
+
+// fault runs the OS demand-paging model for v on core c: a fault's cost
+// advances the core's clock and is charged to its fault cycles. It
+// reports whether a fault was taken.
+func (m *Machine) fault(c *simCore, v addr.V) bool {
+	cost := m.space.Touch(v)
+	if cost == 0 {
+		return false
+	}
+	c.clock += cost
+	c.faultCycles += cost
+	return true
 }
 
 // run advances all cores to the target instruction count (per core) on
@@ -485,19 +491,10 @@ func (m *Machine) issueStaged(c *simCore) {
 		}
 		if c.stage == stFetch {
 			c.stage = stFetchAccess
-			c.fetchDue = false
-			c.fetchCnt++
-			if c.fetchCnt >= m.cfg.FetchEvery {
-				c.fetchCnt = 0
-				c.fetchDue = true
-				c.fetchVA = c.codeBase + addr.V(c.codePos)
-				c.codePos = (c.codePos + addr.LineSize) % codeBytes
-				if cost := m.space.Touch(c.fetchVA); cost > 0 {
-					c.clock += cost
-					c.faultCycles += cost
-					m.scheduleFrontEnd(c, c.clock)
-					return
-				}
+			c.fetchVA, c.fetchDue = c.nextFetch()
+			if c.fetchDue && m.fault(c, c.fetchVA) {
+				m.scheduleFrontEnd(c, c.clock)
+				return
 			}
 		}
 		if c.stage == stFetchAccess {
@@ -509,9 +506,7 @@ func (m *Machine) issueStaged(c *simCore) {
 		}
 		if c.stage == stDataFault {
 			c.stage = stIssue
-			if cost := m.space.Touch(c.op.Addr); cost > 0 {
-				c.clock += cost
-				c.faultCycles += cost
+			if m.fault(c, c.op.Addr) {
 				m.scheduleFrontEnd(c, c.clock)
 				return
 			}
@@ -521,21 +516,18 @@ func (m *Machine) issueStaged(c *simCore) {
 			c.stalled = true
 			return // a completion event resumes the front-end
 		}
-		v := c.op.Addr
-		op := access.Read
-		if c.op.Kind == workload.Store {
-			op = access.Write
-			c.stores++
-		} else {
-			c.loads++
-		}
+		op := c.countMemOp()
 		c.opValid = false
 		c.inFlight++
 		for len(c.windowHist) <= c.inFlight {
 			c.windowHist = append(c.windowHist, 0)
 		}
 		c.windowHist[c.inFlight]++
-		m.issueMemOp(c, c.clock, v, op, c.op.PC)
+		// The translation completes inline on a TLB hit or as an engine
+		// event after a walk; the data access issues inside that
+		// completion (memOp.OnTranslated) and a window-release event
+		// retires the op.
+		c.mmu.TranslateAsync(m.eng, c.clock, c.op.Addr, op, c.op.PC, m.getMemOp(c, c.clock, op))
 	}
 }
 
@@ -582,14 +574,6 @@ func (m *Machine) putMemOp(o *memOp) {
 	o.c = nil
 	o.next = m.opFree
 	m.opFree = o
-}
-
-// issueMemOp sends one load/store down the translation+access pipeline:
-// the translation completes as an engine event (inline for TLB hits),
-// the data access issues inside that completion, and a window-release
-// event retires the op.
-func (m *Machine) issueMemOp(c *simCore, issued uint64, v addr.V, op access.Op, pc uint64) {
-	c.mmu.TranslateAsyncPC(m.eng, issued, v, op, pc, m.getMemOp(c, issued, op))
 }
 
 // completeMemOp retires one in-flight op at time done and resumes a

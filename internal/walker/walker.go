@@ -250,21 +250,15 @@ func New(table pagetable.Table, mem Memory, cfg Config) *Walker {
 	return w
 }
 
-// Width returns the number of concurrent walk slots.
-func (w *Walker) Width() int { return w.width }
-
-// Cache returns the page-walk cache the walker probes, or nil.
-func (w *Walker) Cache() pwc.Cache { return w.cfg.Cache }
-
 // Stats returns the live counters.
 func (w *Walker) Stats() *Stats { return &w.stats }
 
 // ResetStats zeroes the counters (MSHR and cache contents persist).
 func (w *Walker) ResetStats() { w.stats = Stats{} }
 
-// InFlight returns the number of walks occupying a slot at time now
+// inFlight returns the number of walks occupying a slot at time now
 // (started and not yet retired).
-func (w *Walker) InFlight(now uint64) int {
+func (w *Walker) inFlight(now uint64) int {
 	n := 0
 	for i := range w.inflight {
 		if w.inflight[i].start <= now && w.inflight[i].end > now {
@@ -306,22 +300,7 @@ func (w *Walker) Walk(req Request) Response {
 	// request timestamped *before* a walk another core issued after a
 	// long page fault; that future walk must not block this one.
 	start := w.slotFree(req.Time)
-	if start > req.Time {
-		w.stats.QueuedWalks.Inc()
-		w.stats.QueueCycles.Add(start - req.Time)
-	}
-	w.stats.noteStart(w.InFlight(start) + 1)
-
-	end := w.issue(start, req.Core, req.V)
-
-	w.stats.Walks.Inc()
-	// Walk latency is measured from the request, so slot-queue delay is
-	// part of it — what a stalled core actually experiences.
-	lat := end - req.Time
-	w.stats.WalkCycles.Add(lat)
-	if lat > w.stats.MaxWalkCycles {
-		w.stats.MaxWalkCycles = lat
-	}
+	end := w.perform(req, start, w.inFlight(start)+1)
 	w.inflight = append(w.inflight, mshr{
 		vpn: vpn, start: start, end: end,
 		entry: w.walk.Entry, found: w.walk.Found,
@@ -468,24 +447,8 @@ func (w *Walker) startAsync(lw *liveWalk, at uint64) {
 	if at < lw.req.Time {
 		at = lw.req.Time
 	}
-	if at > lw.req.Time {
-		w.stats.QueuedWalks.Inc()
-		w.stats.QueueCycles.Add(at - lw.req.Time)
-	}
 	w.busy++
-	w.stats.noteStart(w.busy)
-
-	end := w.issue(at, lw.req.Core, lw.req.V)
-
-	w.stats.Walks.Inc()
-	// Walk latency is measured from the request, so slot-queue delay is
-	// part of it — what the stalled load actually experiences.
-	lat := end - lw.req.Time
-	w.stats.WalkCycles.Add(lat)
-	if lat > w.stats.MaxWalkCycles {
-		w.stats.MaxWalkCycles = lat
-	}
-	lw.end = end
+	lw.end = w.perform(lw.req, at, w.busy)
 	lw.entry = w.walk.Entry
 	lw.found = w.walk.Found
 
@@ -503,7 +466,32 @@ func (w *Walker) startAsync(lw *liveWalk, at uint64) {
 		panic("walker: no free slot despite busy < width")
 	}
 	w.slots[slot] = lw
-	w.sched.Schedule(end, lw.req.Core, w, evRelease, uint64(slot))
+	w.sched.Schedule(lw.end, lw.req.Core, w, evRelease, uint64(slot))
+}
+
+// perform runs req's walk once it holds a slot from start, with inFlight
+// walks (itself included) then occupying slots: queue and overlap
+// accounting, the table's access sequence, and latency accounting. Both
+// Walk and startAsync call it. It returns the completion time and
+// leaves the outcome in w.walk.
+func (w *Walker) perform(req Request, start uint64, inFlight int) uint64 {
+	if start > req.Time {
+		w.stats.QueuedWalks.Inc()
+		w.stats.QueueCycles.Add(start - req.Time)
+	}
+	w.stats.noteStart(inFlight)
+
+	end := w.issue(start, req.Core, req.V)
+
+	w.stats.Walks.Inc()
+	// Walk latency is measured from the request, so slot-queue delay is
+	// part of it — what the stalled core actually experiences.
+	lat := end - req.Time
+	w.stats.WalkCycles.Add(lat)
+	if lat > w.stats.MaxWalkCycles {
+		w.stats.MaxWalkCycles = lat
+	}
+	return end
 }
 
 // OnEvent implements engine.Actor: the walker's only event kind is the
