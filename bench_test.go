@@ -5,18 +5,15 @@ package ndpage_test
 // (subset of workloads, smaller windows) and reports the figure's
 // headline quantity via b.ReportMetric, so `go test -bench .` both
 // exercises the full pipeline and prints the reproduction's key numbers.
-// Every benchmark also reports allocations (b.ReportAllocs): the
-// simulator's per-instruction path is allocation-free in steady state,
-// and the allocs/op columns are what the CI bench job budgets against.
-// Full-scale tables come from `go run ./cmd/ndpexp`.
+// Every benchmark also reports allocations (b.ReportAllocs). Full-scale
+// tables come from `go run ./cmd/ndpexp`; the simulator's speed is
+// measured by perfbench/.
 
 import (
-	"context"
 	"strconv"
 	"testing"
 
 	"ndpage"
-	"ndpage/internal/engine"
 )
 
 // benchExperiments returns a reduced-scale experiment runner. Three
@@ -162,141 +159,6 @@ func BenchmarkAblation_NDPageDecomposition(b *testing.B) {
 		b.ReportMetric(lastCell(b, t, 2), "flatten-only-speedup")
 		b.ReportMetric(lastCell(b, t, 3), "ndpage-speedup")
 	}
-}
-
-// tickActor is BenchmarkEngineStep's typed actor: every delivered event
-// reschedules itself with a deterministic, actor-dependent stride until
-// the budget is spent — the schedule+dispatch pattern the engine
-// performs once per simulated instruction.
-type tickActor struct {
-	eng       *engine.Engine
-	id        int
-	remaining *int
-}
-
-func (a *tickActor) OnEvent(now uint64, kind uint8, payload uint64) {
-	if *a.remaining <= 0 {
-		return
-	}
-	*a.remaining--
-	a.eng.Schedule(now+uint64(7+a.id%13), a.id, a, 0, 0)
-}
-
-// BenchmarkEngineStep measures the event queue itself: typed-event
-// schedule+dispatch operations per second with a machine-sized actor
-// population, the operation the engine performs once per simulated
-// instruction (replacing the old O(cores) min-clock scan).
-func BenchmarkEngineStep(b *testing.B) {
-	b.ReportAllocs()
-	const actors = 64
-	eng := engine.New()
-	remaining := b.N
-	ticks := make([]tickActor, actors)
-	for i := range ticks {
-		ticks[i] = tickActor{eng: eng, id: i, remaining: &remaining}
-	}
-	b.ResetTimer()
-	for i := range ticks {
-		eng.Schedule(uint64(i), i, &ticks[i], 0, 0)
-	}
-	eng.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkRunSmall measures full small simulations per second (build +
-// warmup + measure), the unit of work the exp Runner fans out; the
-// sims/s metric is the number to watch across engine changes.
-func BenchmarkRunSmall(b *testing.B) {
-	b.ReportAllocs()
-	cfg := ndpage.Config{
-		System:         ndpage.NDP,
-		Cores:          4,
-		Mechanism:      ndpage.Radix,
-		Workload:       "rnd",
-		FootprintBytes: 128 << 20,
-		MemoryBytes:    2 << 30,
-		Warmup:         2_000,
-		Instructions:   10_000,
-		Seed:           7,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ndpage.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sims/s")
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed: simulated
-// instructions per wall-clock second for the default NDP/NDPage setup.
-// Machine construction is inside the loop (each iteration is one full
-// run), so allocs/op here is per-simulation; the per-instruction
-// steady-state allocation budget is measured by
-// internal/sim.BenchmarkStepThroughput.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	b.ReportAllocs()
-	cfg := ndpage.Config{
-		System:         ndpage.NDP,
-		Cores:          4,
-		Mechanism:      ndpage.NDPage,
-		Workload:       "bfs",
-		FootprintBytes: 512 << 20,
-		Warmup:         5_000,
-		Instructions:   50_000,
-	}
-	b.ResetTimer()
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		res, err := ndpage.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instr += res.Instructions
-	}
-	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim-instr/s")
-}
-
-// sweepReplications builds a figure-style replication sweep: the same
-// small configuration under distinct seeds, so every run is a genuine
-// simulation (no dedupe) of equal weight.
-func sweepReplications(n int) []ndpage.Config {
-	cfgs := make([]ndpage.Config, n)
-	for i := range cfgs {
-		cfgs[i] = ndpage.Config{
-			System:         ndpage.NDP,
-			Cores:          4,
-			Mechanism:      ndpage.NDPage,
-			Workload:       "rnd",
-			FootprintBytes: 128 << 20,
-			MemoryBytes:    2 << 30,
-			Warmup:         2_000,
-			Instructions:   10_000,
-			Seed:           uint64(i + 1),
-		}
-	}
-	return cfgs
-}
-
-// BenchmarkSweepSerial runs a replication sweep on a single worker (a
-// fresh Sweep each iteration, so the store never short-circuits the
-// work) and reports aggregate simulated instructions per second.
-func BenchmarkSweepSerial(b *testing.B) {
-	b.ReportAllocs()
-	cfgs := sweepReplications(8)
-	b.ResetTimer()
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		r := &ndpage.Sweep{Parallel: 1}
-		out, err := r.Run(context.Background(), cfgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, res := range out {
-			instr += res.Instructions
-		}
-	}
-	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sweep-instr/s")
 }
 
 func BenchmarkSensitivity_Oversubscription(b *testing.B) {

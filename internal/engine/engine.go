@@ -80,11 +80,11 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// UseHeapFallback, when set before New, builds engines on the retained
-// binary min-heap instead of the calendar queue. It exists for the
-// differential tests that pin the two queues to identical dispatch
-// orders (and as an escape hatch while the wheel beds in); production
-// code leaves it false. Not safe to flip concurrently with New.
+// UseHeapFallback, when set before New, builds engines on the binary
+// min-heap instead of the calendar queue. The heap is the test oracle:
+// the differential tests set it to pin both queues to identical
+// dispatch orders, and production code leaves it false. Not safe to
+// flip concurrently with New.
 var UseHeapFallback = false
 
 const (

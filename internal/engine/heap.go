@@ -1,10 +1,9 @@
-// The binary min-heap queue the calendar wheel replaced, retained as
-// the fallback behind UseHeapFallback. It is the oracle for the
-// differential tests pinning the wheel's dispatch order (randomized
-// schedules must dispatch identically through both queues) and an
-// escape hatch while the wheel beds in. Each dispatch costs O(log n)
-// sift operations; the wheel's amortized O(1) replaces it on the hot
-// path.
+// The binary min-heap queue behind UseHeapFallback: the test oracle for
+// the calendar wheel. Its dispatch order is (time, actor, seq) by
+// construction, so the differential tests require randomized schedules
+// to dispatch identically through both queues. Each dispatch costs
+// O(log n) sift operations; simulations run on the wheel, which is
+// faster on many-core machines (DESIGN.md §3c).
 package engine
 
 // heapPush inserts ev and restores the heap property.

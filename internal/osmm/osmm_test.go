@@ -354,25 +354,58 @@ func TestUnmapFreesConsistently(t *testing.T) {
 	}
 }
 
-// BenchmarkTouchHit measures the demand-paging check on the ~99% path: a
-// page that is already mapped. The first pattern revisits pages inside
-// the positive VPN cache; the second sweeps a region wider than the
-// cache so most checks fall through to Table.Present.
-func BenchmarkTouchHit(b *testing.B) {
-	run := func(b *testing.B, pages uint64) {
-		as, _ := newAS(Base4K)
-		base := as.Alloc(pages*addr.PageSize, "hot")
-		rng := xrand.New(9)
-		addrs := make([]addr.V, 4096)
-		for i := range addrs {
-			addrs[i] = base + addr.V(rng.Uint64n(pages)*addr.PageSize)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			as.Touch(addrs[i&4095])
+// touchHitPatterns are the demand-paging checks on the ~99% path, a
+// page that is already mapped, that BenchmarkTouchHit times and
+// TestTouchHitDoesNotAllocate holds to zero allocations. The first
+// pattern revisits pages inside the positive VPN cache; the second
+// sweeps a region wider than the cache so most checks fall through to
+// Table.Present.
+var touchHitPatterns = []struct {
+	name  string
+	pages uint64
+}{
+	{"cached", 1024},     // fits VPN cache
+	{"present", 1 << 15}, // spills to Present
+}
+
+// touchHitSpace maps pages eagerly and returns 4096 random addresses in
+// them.
+func touchHitSpace(pages uint64) (*AddressSpace, []addr.V) {
+	as, _ := newAS(Base4K)
+	base := as.Alloc(pages*addr.PageSize, "hot")
+	rng := xrand.New(9)
+	addrs := make([]addr.V, 4096)
+	for i := range addrs {
+		addrs[i] = base + addr.V(rng.Uint64n(pages)*addr.PageSize)
+	}
+	return as, addrs
+}
+
+// TestTouchHitDoesNotAllocate holds steady-state Touch on every
+// touchHitPatterns space to zero allocations.
+func TestTouchHitDoesNotAllocate(t *testing.T) {
+	for _, p := range touchHitPatterns {
+		as, addrs := touchHitSpace(p.pages)
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, v := range addrs {
+				as.Touch(v)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per %d touches, want 0", p.name, allocs, len(addrs))
 		}
 	}
-	b.Run("cached", func(b *testing.B) { run(b, 1024) })   // fits VPN cache
-	b.Run("present", func(b *testing.B) { run(b, 1<<15) }) // spills to Present
+}
+
+func BenchmarkTouchHit(b *testing.B) {
+	for _, p := range touchHitPatterns {
+		b.Run(p.name, func(b *testing.B) {
+			as, addrs := touchHitSpace(p.pages)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				as.Touch(addrs[i&4095])
+			}
+		})
+	}
 }

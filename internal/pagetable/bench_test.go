@@ -9,7 +9,7 @@ import (
 )
 
 // benchTable populates a table with mixed dense+sparse mappings.
-func benchTable(b *testing.B, t Table) []addr.V {
+func benchTable(b testing.TB, t Table) []addr.V {
 	b.Helper()
 	t.MapRange(0, 1<<16, 0) // 256 MB dense
 	rng := xrand.New(1)
@@ -93,7 +93,7 @@ func BenchmarkRadixLookup(b *testing.B) {
 // benchSparseTable maps a handful of pages per 1 GB region across many
 // regions, so lookups cross flat nodes and land in lazily materialized
 // chunks.
-func benchSparseTable(b *testing.B, t Table) []addr.V {
+func benchSparseTable(b testing.TB, t Table) []addr.V {
 	b.Helper()
 	rng := xrand.New(3)
 	addrs := make([]addr.V, 4096)
@@ -106,25 +106,31 @@ func benchSparseTable(b *testing.B, t Table) []addr.V {
 	return addrs
 }
 
+// lookupPopulations are the Flattened tables BenchmarkFlattenedLookup
+// times and TestFlattenedLookupDoesNotAllocate holds to zero
+// allocations: one dense node, and scattered pages in lazily
+// materialized chunks across 64 nodes.
+var lookupPopulations = []struct {
+	name     string
+	memBytes uint64
+	populate func(testing.TB, Table) []addr.V
+}{
+	{"dense", 1 << 30, benchTable},
+	{"sparse", 1 << 32, benchSparseTable},
+}
+
 func BenchmarkFlattenedLookup(b *testing.B) {
-	b.Run("dense", func(b *testing.B) {
-		t := NewFlattened(phys.New(1 << 30))
-		addrs := benchTable(b, t)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.Lookup(addrs[i&4095].Page())
-		}
-	})
-	b.Run("sparse", func(b *testing.B) {
-		t := NewFlattened(phys.New(1 << 32))
-		addrs := benchSparseTable(b, t)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t.Lookup(addrs[i&4095].Page())
-		}
-	})
+	for _, p := range lookupPopulations {
+		b.Run(p.name, func(b *testing.B) {
+			t := NewFlattened(phys.New(p.memBytes))
+			addrs := p.populate(b, t)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Lookup(addrs[i&4095].Page())
+			}
+		})
+	}
 }
 
 func BenchmarkFlattenedPresent(b *testing.B) {
@@ -137,22 +143,32 @@ func BenchmarkFlattenedPresent(b *testing.B) {
 	}
 }
 
-// BenchmarkFlattenedReferenceSweep populates the reference sweep — a
-// dense 1 GB region plus scattered pages across 63 more — and reports
-// resident metadata per mapped page, the bytes_per_mapped_page metric
-// scripts/bench.sh records and gates.
+// referenceSweep populates the reference sweep: a dense 1 GB region
+// plus 2^14 scattered pages across 63 more. Its metadata per mapped
+// page is what TestFlattenedSparseNodeMetadataBudget bounds.
+func referenceSweep() *Flattened {
+	t := NewFlattened(phys.New(1 << 32))
+	t.MapRange(0, addr.FlatEntries, 0) // dense 1 GB
+	rng := xrand.New(5)
+	for j := 0; j < 1<<14; j++ { // sparse tail over 63 GB
+		region := (1 + rng.Uint64n(63)) << 18
+		t.Map(addr.VPN(region+rng.Uint64n(addr.FlatEntries)), addr.PFN(j))
+	}
+	return t
+}
+
+// metadataPerPage is a table's resident lookup metadata per mapped page.
+func metadataPerPage(t Table) float64 {
+	return float64(t.MetadataBytes()) / float64(t.MappedPages())
+}
+
+// BenchmarkFlattenedReferenceSweep times building the reference sweep
+// and reports its resident metadata per mapped page.
 func BenchmarkFlattenedReferenceSweep(b *testing.B) {
 	var perPage float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := NewFlattened(phys.New(1 << 32))
-		t.MapRange(0, addr.FlatEntries, 0) // dense 1 GB
-		rng := xrand.New(5)
-		for j := 0; j < 1<<14; j++ { // sparse tail over 63 GB
-			region := (1 + rng.Uint64n(63)) << 18
-			t.Map(addr.VPN(region+rng.Uint64n(addr.FlatEntries)), addr.PFN(j))
-		}
-		perPage = float64(t.MetadataBytes()) / float64(t.MappedPages())
+		perPage = metadataPerPage(referenceSweep())
 	}
 	b.ReportMetric(perPage, "bytes/page")
 }

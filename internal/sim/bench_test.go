@@ -78,9 +78,9 @@ func benchmarkStep(b *testing.B, cfg Config) {
 // stepAllocBudget bounds the mean allocations of one run(target+1) step
 // (one instruction on every core) once a machine is warm: the pooled
 // records, typed events and scratch buffers of both core models keep
-// the per-instruction path allocation-free, and the slack absorbs an
-// occasional histogram or pool growth.
-const stepAllocBudget = 2
+// the per-instruction path allocation-free. It is 0 because any slack
+// hides a leak: at 2, one extra allocation per memory op still passed.
+const stepAllocBudget = 0
 
 // TestStepAllocBudget holds the step-throughput configurations — the
 // five paper mechanisms on the blocking core, and the MLP 4
@@ -107,6 +107,34 @@ func TestStepAllocBudget(t *testing.T) {
 		if allocs > stepAllocBudget {
 			t.Errorf("%v (MLP %d): %.1f allocs per step, budget %d", m.cfg.Mechanism, m.cfg.MLP, allocs, stepAllocBudget)
 		}
+	}
+}
+
+// runAllocBudget bounds the allocations of one whole simulation —
+// construction, warmup and measurement — on a 4-core NDP NDPage bfs
+// machine. They happen at population (page-table chunks and nodes,
+// pools, scratch buffers), not per instruction: about 950 are measured.
+const runAllocBudget = 1200
+
+// TestRunAllocBudget holds one whole simulation to runAllocBudget
+// allocations.
+func TestRunAllocBudget(t *testing.T) {
+	cfg := Config{
+		System:         memsys.NDP,
+		Cores:          4,
+		Mechanism:      core.NDPage,
+		Workload:       "bfs",
+		FootprintBytes: 512 << 20,
+		Warmup:         5_000,
+		Instructions:   50_000,
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := RunConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > runAllocBudget {
+		t.Errorf("%.0f allocations per simulation, budget %d", allocs, runAllocBudget)
 	}
 }
 
